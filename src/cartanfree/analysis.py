@@ -29,7 +29,7 @@ from .algebras import (
     IndexBox,
     centrality_check,
 )
-from .errors import DegreeOverflowError, MaxRoundsExceededError
+from .errors import DegreeOverflowError, MaxRoundsExceededError, NotInSubmoduleError
 from .linalg import SpanBasis, VectorWindow
 from .modules import (
     ActionTable,
@@ -305,16 +305,11 @@ def _invariance_sweep(
     return True
 
 
-def _prepare_seed(seed, window: VectorWindow, nvars: int):
-    """Parse, pad, and validate one probe seed against the window."""
+def _prepare_seed(seed, window: VectorWindow, spec: ModuleSpec):
+    """Parse, pad, and validate one probe seed against the module and window."""
     if isinstance(seed, str):
         seed = parse_polynomial(seed)
-    if nvars > 1:
-        if isinstance(seed, Polynomial):
-            seed = MultiPolynomial.from_polynomial(seed, nvars)
-        elif seed.nvars < nvars:
-            pad = (0,) * (nvars - seed.nvars)
-            seed = MultiPolynomial(nvars, {e + pad: c for e, c in seed.terms.items()})
+    seed = spec.vector(seed)
     if not seed:
         raise ValueError("probe seeds must be nonzero")
     window.vector_of(seed)  # DegreeOverflowError when a seed exceeds the window
@@ -337,7 +332,7 @@ def simplicity_probe(spec: ModuleSpec, cfg: ProbeConfig = ProbeConfig()) -> Prob
     seed_dims: dict[str, int] = {}
     worst: SpanBasis | None = None
     for seed in cfg.seeds:
-        seed = _prepare_seed(seed, window, 1)
+        seed = _prepare_seed(seed, window, spec)
         basis = _closure(seed, gens, spec.act_basis, wp, cfg.max_rounds)
         seed_dims[str(seed)] = basis.rank
         if worst is None or basis.rank < worst.rank:
@@ -383,7 +378,7 @@ def tensor_irreducibility_probe(
     seed_dims: dict[str, int] = {}
     worst: SpanBasis | None = None
     for seed in cfg.seeds:
-        seed = _prepare_seed(seed, window, spec.nvars)
+        seed = _prepare_seed(seed, window, spec)
         basis = _closure(seed, gens, spec.act_basis, wp, cfg.max_rounds)
         seed_dims[str(seed)] = basis.rank
         if worst is None or basis.rank < worst.rank:
@@ -483,13 +478,7 @@ def module_axiom_check(
     """Verify [x,y].f = x.(y.f) - y.(x.f) for all box pairs and test vectors."""
     if polys is None:
         polys = DEFAULT_SEEDS
-    vectors = []
-    for f in polys:
-        if isinstance(f, str):
-            f = parse_polynomial(f)
-        if isinstance(spec, TensorOmega) and isinstance(f, Polynomial):
-            f = MultiPolynomial.from_polynomial(f, spec.nvars)
-        vectors.append(f)
+    vectors = [spec.vector(parse_polynomial(f) if isinstance(f, str) else f) for f in polys]
     syms = spec.algebra.symbols_in_box(box)
     report = AxiomReport(spec.as_dict(), box, spec.algebra.index_names)
     # cache single applications: the inner x.(y.f) terms are fresh each time,
@@ -688,7 +677,7 @@ def composition_series_check(
             rhs = spec1.act_basis(g, strip_t(vec))
             try:
                 lhs_stripped = strip_t(lhs)
-            except Exception:
+            except NotInSubmoduleError:
                 intertwiner = False
                 detail.append(f"{g} . {vec} = {lhs} left the submodule")
                 continue

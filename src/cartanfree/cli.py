@@ -14,7 +14,9 @@ classify TABLE [TABLE]    derive parameters / compare two action tables
 emit-table                write the action table of a family as JSON
 
 Exit codes: 0 success (probe and classify verdicts are data, not errors);
-1 a `check` command found a violation; 2 usage or parse errors.
+1 a `check` command found a violation; 2 usage or parse errors; 3 an
+internal error (a bug in cartanfree: the traceback goes to stderr), so a
+crash never reads as a failed check.
 
 Literal grammars (the single source of truth for all text I/O, UTF-8):
 
@@ -74,6 +76,7 @@ from .scalars import parse_scalar
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERNAL_ERROR = 3
 
 
 class _CliError(Exception):
@@ -425,6 +428,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        import traceback  # only on this path, to keep start-up lean
+
+        traceback.print_exc()
+        print("internal error: this is a bug in cartanfree", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -17,7 +17,11 @@ Vector = list[GaussianRational]
 
 
 class SpanBasis:
-    """A subspace of Q(i)^n in reduced row-echelon form."""
+    """A subspace of Q(i)^n in reduced row-echelon form.
+
+    Each row keeps the sorted list of its nonzero columns, so elimination
+    touches only those entries.
+    """
 
     def __init__(self, ncols: int):
         if ncols < 1:
@@ -25,6 +29,7 @@ class SpanBasis:
         self.ncols = ncols
         self.rows: list[Vector] = []
         self.pivots: list[int] = []
+        self._support: list[list[int]] = []
 
     @property
     def rank(self) -> int:
@@ -38,46 +43,41 @@ class SpanBasis:
 
     def _reduce(self, v: Vector) -> Vector:
         v = list(v)
-        for row, p in zip(self.rows, self.pivots):
+        for row, p, support in zip(self.rows, self.pivots, self._support):
             c = v[p]
-            if c:
-                for k in range(p, self.ncols):
-                    if row[k]:
-                        v[k] = v[k] - c * row[k]
+            if c.a or c.b:  # c != 0, without a __bool__ call per row
+                for k in support:
+                    v[k] = v[k] - c * row[k]
         return v
 
     def insert(self, v: Vector) -> bool:
         """Add v to the span; returns True iff the rank grew."""
         self._check_dim(v)
         r = self._reduce(v)
-        p = next((k for k, c in enumerate(r) if c), None)
-        if p is None:
+        support = [k for k, c in enumerate(r) if c.a or c.b]
+        if not support:
             return False
+        p = support[0]
         inv = r[p].inverse()
-        for k in range(p, self.ncols):
-            if r[k]:
-                r[k] = r[k] * inv
+        for k in support:
+            r[k] = r[k] * inv
         # clear the new pivot column from the existing rows
-        for row in self.rows:
+        for idx, row in enumerate(self.rows):
             c = row[p]
             if c:
-                for k in range(p, self.ncols):
-                    if r[k]:
-                        row[k] = row[k] - c * r[k]
+                for k in support:
+                    row[k] = row[k] - c * r[k]
+                merged = sorted(set(self._support[idx]).union(support))
+                self._support[idx] = [k for k in merged if row[k]]
         at = next((idx for idx, piv in enumerate(self.pivots) if piv > p), len(self.pivots))
         self.rows.insert(at, r)
         self.pivots.insert(at, p)
+        self._support.insert(at, support)
         return True
 
     def contains(self, v: Vector) -> bool:
         self._check_dim(v)
         return all(not c for c in self._reduce(v))
-
-    def copy(self) -> "SpanBasis":
-        dup = SpanBasis(self.ncols)
-        dup.rows = [list(row) for row in self.rows]
-        dup.pivots = list(self.pivots)
-        return dup
 
 
 class VectorWindow:

@@ -82,12 +82,26 @@ class ModuleSpec:
         """Image of f under a basis symbol (exact)."""
         raise NotImplementedError
 
+    def vector(self, f):
+        """f as a vector of this module; KindMismatchError when it is none.
+
+        Callers validate once at their entry points (act, the axiom check,
+        probe seeds); act_basis trusts its argument.  The rank-one families
+        act on C[t], so indexed variables are rejected.
+        """
+        if not isinstance(f, Polynomial):
+            raise KindMismatchError(
+                f"{f} uses indexed variables, but {self.family} vectors are polynomials in t"
+            )
+        return f
+
     def act(self, e: AlgebraElement, f):
         """Linear extension of act_basis to elements."""
         if e.algebra != self.algebra:
             raise KindMismatchError(
                 f"element of {e.algebra.describe()} cannot act on a {self.family} module"
             )
+        f = self.vector(f)
         acc = self._zero_vector(f)
         for s, c in e.terms.items():
             acc = acc + self.act_basis(sym=s, f=f) * c
@@ -296,17 +310,22 @@ class TensorOmega(ModuleSpec):
     def _zero_vector(self, f):
         return MultiPolynomial(self.nvars)
 
-    def act_basis(self, sym: BasisSymbol, f: MultiPolynomial) -> MultiPolynomial:
-        self._check_sym(sym)
+    def vector(self, f) -> MultiPolynomial:
+        """f embedded in C[t1..tm]: t becomes t1 and missing variables are padded."""
         if isinstance(f, Polynomial):
-            f = MultiPolynomial.from_polynomial(f, self.nvars)
-        elif f.nvars < self.nvars:
+            return MultiPolynomial.from_polynomial(f, self.nvars)
+        if f.nvars < self.nvars:
             pad = (0,) * (self.nvars - f.nvars)
-            f = MultiPolynomial._raw(self.nvars, {e + pad: c for e, c in f.terms.items()})
+            return MultiPolynomial._raw(self.nvars, {e + pad: c for e, c in f.terms.items()})
         if f.nvars != self.nvars:
             raise KindMismatchError(
                 f"vector in {f.nvars} variables for a {self.nvars}-factor tensor module"
             )
+        return f
+
+    def act_basis(self, sym: BasisSymbol, f: MultiPolynomial) -> MultiPolynomial:
+        self._check_sym(sym)
+        f = self.vector(f)
         if sym[0] == "C":
             return MultiPolynomial(self.nvars)
         i, j = sym[1], sym[2]

@@ -17,14 +17,20 @@ Scalars bind tightly (no internal whitespace), so a complex coefficient
 like ``1/2+2/3i*t`` parses as (1/2 + 2/3i)*t while ``1/2 + 2/3i*t`` is a
 two-term sum.  ``str()`` output re-parses to an equal value.
 
+The hot operations (shift, mul_linear, scale and their multivariate
+forms) run as loops over integer numerators with one common denominator
+and normalise each output coefficient once; coefficients stay canonical
+GaussianRationals, so == and hash remain exact.
+
 A global degree cap (default 64) makes runaway closure loops fail loudly
-instead of silently producing enormous polynomials.
+instead of silently producing enormous polynomials.  Parsed literals are
+checked against it after like terms combine.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import lcm
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -32,7 +38,7 @@ from .errors import (
     ParseError,
     ZeroPolynomialError,
 )
-from .scalars import GaussianRational, ONE, ZERO, ScalarLike, scalar, scan_scalar
+from .scalars import GaussianRational, ONE, ZERO, ScalarLike, _scan_uint, scalar, scan_scalar
 
 __all__ = [
     "Polynomial",
@@ -50,6 +56,7 @@ __all__ = [
 ]
 
 _degree_cap = 64
+_make = GaussianRational._make
 
 
 def set_degree_cap(n: int) -> None:
@@ -69,6 +76,73 @@ def _check_cap(deg: int) -> None:
         raise DegreeOverflowError(
             f"degree {deg} exceeds the configured cap {_degree_cap}"
         )
+
+
+def _parts(c: ScalarLike) -> tuple[int, int, int]:
+    """(a, b, d) with c = (a + b*i)/d in lowest terms."""
+    if type(c) is int:
+        return c, 0, 1
+    c = scalar(c)
+    return c.a, c.b, c.d
+
+
+def _scaled(xs: Iterable[GaussianRational], c: GaussianRational) -> list[GaussianRational]:
+    """x*c for each x, each product normalised once."""
+    ca, cb, cd = c.a, c.b, c.d
+    if cb:
+        return [_make(x.a * ca - x.b * cb, x.a * cb + x.b * ca, x.d * cd) for x in xs]
+    return [_make(x.a * ca, x.b * ca, x.d * cd) for x in xs]
+
+
+def _common_form(cs) -> tuple[list[int], list[int], int]:
+    """Integer numerators over one common denominator: cs[k] = (re[k] + im[k]*i)/den."""
+    den = lcm(*[x.d for x in cs])
+    if den == 1:
+        return [x.a for x in cs], [x.b for x in cs], 1
+    return [x.a * (den // x.d) for x in cs], [x.b * (den // x.d) for x in cs], den
+
+
+def _taylor_shift(xs: list[int], s: int) -> None:
+    """In place: the coefficients of h(u) become those of h(u + s)."""
+    n = len(xs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            xs[j] += s * xs[j + 1]
+
+
+def _shifted(cs, cp: int, ci: int, cq: int) -> list[GaussianRational]:
+    """Coefficients of f(t - c), c = (cp + ci*i)/cq, from those of f (nonempty).
+
+    With u = cq*t and h(u) = sum A[k] cq^(n-1-k) u^k over the common
+    denominator den, cq^(n-1) * f(t - c) = h(u - cp - ci*i) / den; so one
+    integer Taylor shift by a Gaussian integer does the work, and output
+    k is normalised once, over den * cq^(n-1-k).
+    """
+    n = len(cs)
+    re, im, den = _common_form(cs)
+    if cq != 1:
+        w = 1
+        for k in range(n - 1, -1, -1):
+            re[k] *= w
+            im[k] *= w
+            w *= cq
+    sp, si = -cp, -ci
+    if si:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                a, b = re[j + 1], im[j + 1]
+                re[j] += sp * a - si * b
+                im[j] += sp * b + si * a
+    else:
+        _taylor_shift(re, sp)
+        if any(im):
+            _taylor_shift(im, sp)
+    out = [ZERO] * n
+    d = den
+    for k in range(n - 1, -1, -1):
+        out[k] = _make(re[k], im[k], d)
+        d *= cq
+    return out
 
 
 class Polynomial:
@@ -133,11 +207,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for k, c in enumerate(b):
-            cs[k] = cs[k] + c
+        cs = [x + y for x, y in zip(a, b)]
+        cs.extend(a[len(b):])
+        cs.extend(b[len(a):])
         while cs and not cs[-1]:
             cs.pop()
         return Polynomial._raw(tuple(cs))
@@ -145,12 +217,10 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = []
-        for k in range(n):
-            x = self.coeffs[k] if k < len(self.coeffs) else ZERO
-            y = other.coeffs[k] if k < len(other.coeffs) else ZERO
-            cs.append(x - y)
+        a, b = self.coeffs, other.coeffs
+        cs = [x - y for x, y in zip(a, b)]
+        cs.extend(a[len(b):])
+        cs.extend([-y for y in b[len(a):]])
         while cs and not cs[-1]:
             cs.pop()
         return Polynomial._raw(tuple(cs))
@@ -185,63 +255,44 @@ class Polynomial:
 
     def scale(self, c: ScalarLike) -> "Polynomial":
         c = scalar(c)
-        if not c:
-            return P_ZERO
-        return Polynomial._raw(tuple(x * c for x in self.coeffs))
+        if not c.b and c.d == 1:
+            if c.a == 1:
+                return self
+            if not c.a:
+                return P_ZERO
+        return Polynomial._raw(tuple(_scaled(self.coeffs, c)))
 
     def shift(self, c: ScalarLike) -> "Polynomial":
         """The substitution t -> t - c, i.e. return g with g(t) = f(t - c).
 
-        Degree and leading coefficient are preserved.  Integer c uses an
-        integer-power fast path (the common case for loop actions).
+        Degree and leading coefficient are preserved.
         """
-        n = len(self.coeffs)
-        if n <= 1:
+        if len(self.coeffs) <= 1:
             return self
-        if isinstance(c, GaussianRational):
-            ci = c.as_int()
-            if ci is not None:
-                c = ci
-        if isinstance(c, int):
-            if c == 0:
-                return self
-            negc_pows = [1]
-            for _ in range(n - 1):
-                negc_pows.append(negc_pows[-1] * (-c))
-            out = [ZERO] * n
-            for k, fk in enumerate(self.coeffs):
-                if not fk:
-                    continue
-                for j in range(k + 1):
-                    out[j] = out[j] + fk.mul_int(comb(k, j) * negc_pows[k - j])
-            return Polynomial._raw(tuple(out))
-        c = scalar(c)
-        if not c:
+        cp, ci, cq = _parts(c)
+        if not (cp or ci):
             return self
-        negc = -c
-        pows: list[GaussianRational] = [ONE]
-        for _ in range(n - 1):
-            pows.append(pows[-1] * negc)
-        out = [ZERO] * n
-        for k, fk in enumerate(self.coeffs):
-            if not fk:
-                continue
-            for j in range(k + 1):
-                out[j] = out[j] + fk.mul_int(comb(k, j)) * pows[k - j]
-        return Polynomial._raw(tuple(out))
+        return Polynomial._raw(tuple(_shifted(self.coeffs, cp, ci, cq)))
 
     def mul_linear(self, root: ScalarLike) -> "Polynomial":
-        """Multiply by (t - root) in O(degree) scalar operations."""
-        if not self.coeffs:
+        """Multiply by (t - root) in O(degree) integer operations."""
+        cs = self.coeffs
+        if not cs:
             return P_ZERO
-        root = scalar(root)
-        _check_cap(len(self.coeffs))
-        cs = [ZERO] * (len(self.coeffs) + 1)
-        for k, c in enumerate(self.coeffs):
-            cs[k + 1] = cs[k + 1] + c
-            if root:
-                cs[k] = cs[k] - c * root
-        return Polynomial._raw(tuple(cs))
+        _check_cap(len(cs))
+        rp, ri, rq = _parts(root)
+        if not (rp or ri):
+            return Polynomial._raw((ZERO,) + cs)
+        re, im, den = _common_form(cs)
+        # coefficient k of the product: (A[k-1]*rq - (rp + ri*i)*A[k]) / (den*rq)
+        d = den * rq
+        out = []
+        pa = pb = 0
+        for a, b in zip(re, im):
+            out.append(_make(pa * rq - rp * a + ri * b, pb * rq - rp * b - ri * a, d))
+            pa, pb = a, b
+        out.append(cs[-1])
+        return Polynomial._raw(tuple(out))
 
     def divide_linear(self, root: ScalarLike) -> tuple["Polynomial", GaussianRational]:
         """Synthetic division by (t - root): returns (quotient, remainder)."""
@@ -468,60 +519,56 @@ class MultiPolynomial:
 
     def scale(self, c: ScalarLike) -> "MultiPolynomial":
         c = scalar(c)
-        if not c:
-            return MultiPolynomial._raw(self.nvars, {})
-        return MultiPolynomial._raw(self.nvars, {e: x * c for e, x in self.terms.items()})
+        if not c.b and c.d == 1:
+            if c.a == 1:
+                return self
+            if not c.a:
+                return MultiPolynomial._raw(self.nvars, {})
+        return MultiPolynomial._raw(self.nvars, dict(zip(self.terms, _scaled(self.terms.values(), c))))
 
     def shift_var(self, k: int, c: ScalarLike) -> "MultiPolynomial":
         """Substitute t_k -> t_k - c, leaving the other variables alone."""
-        c = scalar(c)
-        if not c or not self.terms:
+        cp, ci, cq = _parts(c)
+        if not (cp or ci) or not self.terms:
             return self
-        negc = -c
-        max_e = max(e[k] for e in self.terms)
-        pows: list[GaussianRational] = [ONE]
-        for _ in range(max_e):
-            pows.append(pows[-1] * negc)
-        terms: dict[tuple[int, ...], GaussianRational] = {}
+        # one univariate shift per monomial in the other variables
+        columns: dict[tuple[int, ...], dict[int, GaussianRational]] = {}
         for exps, coef in self.terms.items():
-            ek = exps[k]
-            base = list(exps)
-            for j in range(ek + 1):
-                base[k] = j
-                e = tuple(base)
-                contrib = coef.mul_int(comb(ek, j)) * pows[ek - j]
-                acc = terms.get(e)
-                acc = contrib if acc is None else acc + contrib
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
+            columns.setdefault(exps[:k] + exps[k + 1:], {})[exps[k]] = coef
+        terms: dict[tuple[int, ...], GaussianRational] = {}
+        for rest, column in columns.items():
+            cs = [column.get(j, ZERO) for j in range(max(column) + 1)]
+            for j, x in enumerate(_shifted(cs, cp, ci, cq)):
+                if x:
+                    terms[rest[:k] + (j,) + rest[k:]] = x
         return MultiPolynomial._raw(self.nvars, terms)
 
     def mul_linear_var(self, k: int, root: ScalarLike) -> "MultiPolynomial":
         """Multiply by (t_k - root)."""
-        root = scalar(root)
-        terms: dict[tuple[int, ...], GaussianRational] = {}
-        for exps, coef in self.terms.items():
-            up = list(exps)
-            up[k] += 1
-            _check_cap(up[k])
-            e_up = tuple(up)
-            acc = terms.get(e_up)
-            acc = coef if acc is None else acc + coef
-            if acc:
-                terms[e_up] = acc
-            else:
-                terms.pop(e_up, None)
-            if root:
-                contrib = -(coef * root)
-                acc = terms.get(exps)
-                acc = contrib if acc is None else acc + contrib
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
-        return MultiPolynomial._raw(self.nvars, terms)
+        if not self.terms:
+            return self
+        _check_cap(max(e[k] for e in self.terms) + 1)
+        rp, ri, rq = _parts(root)
+        if not (rp or ri):
+            return MultiPolynomial._raw(
+                self.nvars, {e[:k] + (e[k] + 1,) + e[k + 1:]: x for e, x in self.terms.items()}
+            )
+        exps = list(self.terms)
+        re, im, den = _common_form(list(self.terms.values()))
+        # numerators over den*rq: A[e - t_k]*rq - (rp + ri*i)*A[e]
+        acc: dict[tuple[int, ...], list[int]] = {}
+        for e, a, b in zip(exps, re, im):
+            up = e[:k] + (e[k] + 1,) + e[k + 1:]
+            num = acc.setdefault(up, [0, 0])
+            num[0] += a * rq
+            num[1] += b * rq
+            num = acc.setdefault(e, [0, 0])
+            num[0] -= rp * a - ri * b
+            num[1] -= rp * b + ri * a
+        d = den * rq
+        return MultiPolynomial._raw(
+            self.nvars, {e: _make(a, b, d) for e, (a, b) in acc.items() if a or b}
+        )
 
     # -- rendering -----------------------------------------------------
 
@@ -563,25 +610,16 @@ def _scan_varpow(text: str, i: int) -> tuple[int | None, int, int]:
     i += 1
     idx: int | None = None
     if i < len(text) and text[i].isdigit():
-        idx, i = _scan_uint_at(text, i)
+        idx, i = _scan_uint(text, i)
         if idx < 1:
             raise ParseError("variable indices start at 1", i - 1)
     exp = 1
     j = _skip_ws(text, i)
     if j < len(text) and text[j] == "^":
         j = _skip_ws(text, j + 1)
-        exp, j = _scan_uint_at(text, j)
+        exp, j = _scan_uint(text, j)
         i = j
     return idx, exp, i
-
-
-def _scan_uint_at(text: str, i: int) -> tuple[int, int]:
-    j = i
-    while j < len(text) and text[j].isdigit():
-        j += 1
-    if j == i:
-        raise ParseError("expected an integer", i)
-    return int(text[i:j]), j
 
 
 def parse_polynomial(text: str) -> Polynomial | MultiPolynomial:
@@ -668,23 +706,13 @@ def parse_polynomial(text: str) -> Polynomial | MultiPolynomial:
             for x in e:
                 _check_cap(x)
         return MultiPolynomial._raw(nvars, terms)
-    deg = max((p.get(0, 0) for _, p in raw_terms), default=0)
-    _check_cap(deg)
-    cs = [ZERO] * (deg + 1)
+    by_degree: dict[int, GaussianRational] = {}
     for coef, powers in raw_terms:
         k = powers.get(0, 0)
-        cs[k] = cs[k] + coef
-    while cs and not cs[-1]:
-        cs.pop()
-    return Polynomial._raw(tuple(cs))
-
-
-def parse_univariate(text: str) -> Polynomial:
-    """Parse a polynomial literal that must be univariate in t."""
-    p = parse_polynomial(text)
-    if isinstance(p, MultiPolynomial):
-        raise ParseError("expected a univariate polynomial in t", 0)
-    return p
+        by_degree[k] = by_degree.get(k, ZERO) + coef
+    deg = max((k for k, c in by_degree.items() if c), default=-1)
+    _check_cap(deg)  # on the combined terms: t^65 - t^65 is 0
+    return Polynomial._raw(tuple(by_degree.get(k, ZERO) for k in range(deg + 1)))
 
 
 def window_monomials(nvars: int, max_degree: int) -> Iterator[tuple[int, ...]]:

@@ -43,6 +43,8 @@ __all__ = [
 
 ScalarLike = Union["GaussianRational", int, Fraction]
 
+_new = object.__new__
+
 
 class GaussianRational:
     """An exact element of Q(i), stored as (a + b*i)/d.
@@ -59,33 +61,38 @@ class GaussianRational:
         d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
         a = re.numerator * (d // re.denominator)
         b = im.numerator * (d // im.denominator)
-        g = gcd(gcd(a, b), d)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "b", b // g)
-        object.__setattr__(self, "d", d // g)
+        g = gcd(a, b, d)
+        self.a = a // g
+        self.b = b // g
+        self.d = d // g
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def _raw(a: int, b: int, d: int) -> "GaussianRational":
         """Trusted constructor: (a, b, d) already normalized."""
-        self = object.__new__(GaussianRational)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        self = _new(GaussianRational)
+        self.a = a
+        self.b = b
+        self.d = d
         return self
 
     @staticmethod
     def _make(a: int, b: int, d: int) -> "GaussianRational":
         """Normalize a raw integer triple (d may be negative, not zero)."""
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = gcd(gcd(a, b), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        return GaussianRational._raw(a, b, d)
+        if d != 1:
+            if d < 0:
+                a, b, d = -a, -b, -d
+            g = gcd(a, b, d) if b else gcd(a, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        self = _new(GaussianRational)
+        self.a = a
+        self.b = b
+        self.d = d
+        return self
 
     @staticmethod
     def from_int(n: int) -> "GaussianRational":
@@ -123,30 +130,42 @@ class GaussianRational:
             return self.a
         return None
 
-    def as_fraction(self) -> Fraction | None:
-        """The value as a Fraction when it is real, else None."""
-        if self.b == 0:
-            return Fraction(self.a, self.d)
-        return None
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
+        sd, od = self.d, o.d
+        if sd == 1 and od == 1:
+            r = _new(GaussianRational)
+            r.a = self.a + o.a
+            r.b = self.b + o.b
+            r.d = 1
+            return r
+        if sd == od:
+            return GaussianRational._make(self.a + o.a, self.b + o.b, sd)
         return GaussianRational._make(
-            self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d
+            self.a * od + o.a * sd, self.b * od + o.b * sd, sd * od
         )
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
+        sd, od = self.d, o.d
+        if sd == 1 and od == 1:
+            r = _new(GaussianRational)
+            r.a = self.a - o.a
+            r.b = self.b - o.b
+            r.d = 1
+            return r
+        if sd == od:
+            return GaussianRational._make(self.a - o.a, self.b - o.b, sd)
         return GaussianRational._make(
-            self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d
+            self.a * od - o.a * sd, self.b * od - o.b * sd, sd * od
         )
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
@@ -159,9 +178,17 @@ class GaussianRational:
         return GaussianRational._raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
+        if self.b == 0 and o.b == 0:
+            if self.d == 1 and o.d == 1:
+                r = _new(GaussianRational)
+                r.a = self.a * o.a
+                r.b = 0
+                r.d = 1
+                return r
+            return GaussianRational._make(self.a * o.a, 0, self.d * o.d)
         return GaussianRational._make(
             self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d
         )
@@ -226,6 +253,8 @@ class GaussianRational:
         # Matches hash(int) / hash(Fraction) on real values so that
         # cross-type equality stays consistent with hashing.
         if self.b == 0:
+            if self.d == 1:
+                return hash(self.a)
             return hash(Fraction(self.a, self.d))
         return hash((self.a, self.b, self.d))
 

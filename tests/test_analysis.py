@@ -172,6 +172,22 @@ class TestCompositionSeries:
         assert lhs == parse_polynomial("3*t - 3") == spec1.act_basis(L(1, 1), P_ONE)
 
 
+    def test_unexpected_strip_error_propagates(self, monkeypatch):
+        # only NotInSubmoduleError means "left the submodule"; a bug must surface
+        import cartanfree.analysis as analysis
+
+        real = analysis.strip_t
+
+        def strict(g):
+            if g.coeffs and g.coeffs[-1] == 1 and not any(g.coeffs[:-1]):
+                return real(g)  # the test vectors t^k themselves
+            raise RuntimeError("stubbed failure inside strip_t")
+
+        monkeypatch.setattr(analysis, "strip_t", strict)
+        with pytest.raises(RuntimeError, match="stubbed failure"):
+            composition_series_check(2, 3, IndexBox((-1, 1), (-1, 1)), 2)
+
+
 class TestIsomorphismClassify:
     def test_equal_tables(self):
         a = build_action_table(OmegaLoop(2, 3, 1), BOX2_LOOP)

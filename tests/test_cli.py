@@ -186,9 +186,38 @@ class TestExitCodeContract:
         assert code == 1
         assert "FAIL" in out
 
+    def test_unexpected_exception_has_its_own_code(self, capsys, monkeypatch):
+        import cartanfree.cli as cli_mod
+
+        def broken(algebra, box):
+            raise RuntimeError("stubbed bug")
+
+        monkeypatch.setattr(cli_mod, "jacobi_check", broken)
+        code, _, err = run(capsys, "check", "jacobi", "--algebra", "loop", "--box", "1")
+        assert code == cli_mod.INTERNAL_ERROR == 3
+        assert "internal error" in err and "stubbed bug" in err
+
     def test_help_documents_grammars(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "scalar ::=" in out and "gen" in out
+
+
+class TestIndexedVectorsRejected:
+    """Rank-one families act on C[t]: a vector in t1 is a usage error (exit 2)."""
+
+    LOOP_PARAMS = ("--algebra", "loop", "--lambda", "2", "--mu", "3", "--alpha", "1")
+
+    def test_act(self, capsys):
+        code, _, err = run(capsys, "act", "L(1,0)", "t1", *self.LOOP_PARAMS)
+        assert code == 2 and "indexed variables" in err
+
+    def test_check_module(self, capsys):
+        code, _, err = run(capsys, "check", "module", *self.LOOP_PARAMS, "--polys", "t1")
+        assert code == 2 and "indexed variables" in err
+
+    def test_probe_simplicity(self, capsys):
+        code, _, err = run(capsys, "probe", "simplicity", *self.LOOP_PARAMS, "--seeds", "t1")
+        assert code == 2 and "indexed variables" in err

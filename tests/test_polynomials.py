@@ -122,6 +122,13 @@ class TestDegreeCap:
         with pytest.raises(DegreeOverflowError):
             f * f
 
+    def test_cap_checked_after_cancellation(self):
+        assert parse_polynomial("t^65 - t^65") == P_ZERO
+        assert parse_polynomial("0*t^70") == P_ZERO
+        assert parse_polynomial("t^70 + t - t^70") == T
+        with pytest.raises(DegreeOverflowError):
+            parse_polynomial("t^65 + t - t")
+
     def test_cap_is_configurable(self):
         set_degree_cap(100)
         try:
