@@ -727,6 +727,8 @@ def parse_element(algebra: Algebra, text: str) -> AlgebraElement:
                 i = skip_ws(i + 1)
             else:
                 raise ParseError(f"expected '+' or '-', found {text[i]!r}", i)
+        elif text[i] == "-" and skip_ws(i + 1) < n and text[skip_ws(i + 1)] in "LC":
+            sign, i = -1, skip_ws(i + 1)  # leading minus before a generator
         first = False
         coef = ONE
         if i < n and (text[i].isdigit() or text[i] == "-"):

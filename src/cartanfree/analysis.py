@@ -263,46 +263,48 @@ def _closure(
     return main
 
 
-def _zero_constant_slice_dim(window: VectorWindow) -> int:
-    return window.dim - 1
+def _escapes(image, k: int) -> bool:
+    """Does image leave the t_k-multiples (for one variable: have a constant term)?"""
+    if isinstance(image, Polynomial):
+        return bool(image.constant_term)
+    return any(e[k] == 0 for e in image.terms)
 
 
-def _closure_is_zero_constant_slice(basis: SpanBasis, window: VectorWindow) -> bool:
-    """Is the closure exactly the zero-constant-term slice of the window?
+def _sweep(spec: ModuleSpec, box: IndexBox, vectors: Sequence, k: int = 0):
+    """Apply every box generator to every vector until an image leaves the t_k-multiples.
 
-    The constant monomial is index 0 in both the univariate and the
-    degree-lex multivariate layout, so the slice is {v : v[0] = 0}.
+    Returns the number of images computed and the first escape as
+    (generator, vector, image), or None when every image stays inside.
     """
-    if basis.rank != window.dim - 1:
-        return False
-    return all(not row[0] for row in basis.rows)
+    checked = 0
+    for g in spec.algebra.symbols_in_box(box):
+        for f in vectors:
+            image = spec.act_basis(g, f)
+            checked += 1
+            if _escapes(image, k):
+                return checked, (g, f, image)
+    return checked, None
 
 
-def _invariance_sweep(
-    spec: ModuleSpec, box: IndexBox, window: VectorWindow
-) -> bool:
-    """Do all box generators map the zero-constant-term slice into itself?
+def _certificate(spec: ModuleSpec, box: IndexBox, window: VectorWindow, closure: SpanBasis) -> str:
+    """Certify a proper closure as the t_k-multiples slice of the window, for some slot k.
 
-    Checked on the monomial basis of the slice; exact, but finite: it
+    For one variable the slot-0 slice is the zero-constant-term slice.  The
+    closure must be exactly that slice, and an independent sweep must show
+    that every box generator keeps the slice: exact, but finite, so it
     certifies invariance for the box generators on the window.
     """
-    gens = spec.algebra.symbols_in_box(box)
-    if window.nvars == 1:
-        slice_basis = [monomial(k) for k in range(1, window.max_degree + 1)]
-        is_inside = lambda p: not p.constant_term
-    else:
-        slice_basis = [
-            window.monomial(idx)
-            for idx in range(window.dim)
-            if window.monomial(idx).constant_term == 0
-        ]
-        is_inside = lambda p: not p.constant_term
-    for g in gens:
-        for f in slice_basis:
-            image = spec.act_basis(g, f)
-            if image and image.constant_term:
-                return False
-    return True
+    monos = window._monomials
+    for k in range(window.nvars):
+        outside = [idx for idx, e in enumerate(monos) if not e[k]]
+        if closure.rank != window.dim - len(outside):
+            continue
+        if any(row[idx] for row in closure.rows for idx in outside):
+            continue
+        slice_basis = [window.monomial(idx) for idx, e in enumerate(monos) if e[k]]
+        if _sweep(spec, box, slice_basis, k)[1] is None:
+            return "invariant-certified"
+    return "window-evidence"
 
 
 def _prepare_seed(seed, window: VectorWindow, spec: ModuleSpec):
@@ -326,36 +328,7 @@ def simplicity_probe(spec: ModuleSpec, cfg: ProbeConfig = ProbeConfig()) -> Prob
     """
     if isinstance(spec, TensorOmega):
         return tensor_irreducibility_probe(spec, cfg)
-    wp = _WindowPair(1, cfg.max_degree)
-    window = wp.window
-    gens = spec.algebra.symbols_in_box(cfg.box)
-    seed_dims: dict[str, int] = {}
-    worst: SpanBasis | None = None
-    for seed in cfg.seeds:
-        seed = _prepare_seed(seed, window, spec)
-        basis = _closure(seed, gens, spec.act_basis, wp, cfg.max_rounds)
-        seed_dims[str(seed)] = basis.rank
-        if worst is None or basis.rank < worst.rank:
-            worst = basis
-    assert worst is not None
-    fills = worst.rank == window.dim
-    verdict = ProbeVerdict(
-        check="simplicity",
-        spec=spec.as_dict(),
-        fills=fills,
-        dim=worst.rank,
-        window_dim=window.dim,
-        window=cfg.as_dict(spec.algebra.index_names),
-        seed_dims=seed_dims,
-    )
-    if not fills:
-        witness = window.missing_monomial(worst)
-        verdict.witness = str(witness)
-        certified = _closure_is_zero_constant_slice(worst, window) and _invariance_sweep(
-            spec, cfg.box, window
-        )
-        verdict.certificate = "invariant-certified" if certified else "window-evidence"
-    return verdict
+    return _probe(spec, cfg, "simplicity")
 
 
 def tensor_irreducibility_probe(
@@ -372,6 +345,11 @@ def tensor_irreducibility_probe(
         spec = TensorOmega(list(spec))
     if spec.nvars > 3:
         raise ValueError("tensor probes support at most 3 factors at desk scale")
+    return _probe(spec, cfg, "tensor-irreducibility")
+
+
+def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
+    """The probe body shared by both public probes."""
     wp = _WindowPair(spec.nvars, cfg.max_degree)
     window = wp.window
     gens = spec.algebra.symbols_in_box(cfg.box)
@@ -386,7 +364,7 @@ def tensor_irreducibility_probe(
     assert worst is not None
     fills = worst.rank == window.dim
     verdict = ProbeVerdict(
-        check="tensor-irreducibility",
+        check=check,
         spec=spec.as_dict(),
         fills=fills,
         dim=worst.rank,
@@ -395,42 +373,9 @@ def tensor_irreducibility_probe(
         seed_dims=seed_dims,
     )
     if not fills:
-        witness = window.missing_monomial(worst)
-        verdict.witness = str(witness)
-        verdict.certificate = _tensor_certificate(spec, cfg, window, worst)
+        verdict.witness = str(window.missing_monomial(worst))
+        verdict.certificate = _certificate(spec, cfg.box, window, worst)
     return verdict
-
-
-def _tensor_certificate(
-    spec: TensorOmega, cfg: ProbeConfig, window: VectorWindow, closure: SpanBasis
-) -> str:
-    """Certify a proper tensor closure against per-slot t-multiples slices."""
-    for k in range(spec.nvars):
-        slice_idx = [
-            idx for idx, e in enumerate(window._monomials) if e[k] >= 1
-        ]
-        if closure.rank != len(slice_idx):
-            continue
-        inside = all(
-            all(not row[idx] for idx, e in enumerate(window._monomials) if e[k] == 0)
-            for row in closure.rows
-        )
-        if not inside:
-            continue
-        # independent sweep: box generators keep exponent of slot k positive
-        ok = True
-        for g in spec.algebra.symbols_in_box(cfg.box):
-            if not ok:
-                break
-            for idx in slice_idx:
-                f = window.monomial(idx)
-                image = spec.act_basis(g, f)
-                if any(e[k] == 0 for e in image.terms):
-                    ok = False
-                    break
-        if ok:
-            return "invariant-certified"
-    return "window-evidence"
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +522,14 @@ def submodule_invariance_check(
         if f.constant_term:
             raise ValueError(f"test vector {f} is not in the zero-constant-term subspace")
         vectors.append(f)
-    checked = 0
-    for g in spec.algebra.symbols_in_box(box):
-        for f in vectors:
-            image = spec.act_basis(g, f)
-            checked += 1
-            if image and image.constant_term:
-                return InvarianceReport(
-                    spec.as_dict(),
-                    box,
-                    spec.algebra.index_names,
-                    False,
-                    checked,
-                    witness=f"{g} . ({f}) = {image} has constant term {image.constant_term}",
-                )
-    return InvarianceReport(spec.as_dict(), box, spec.algebra.index_names, True, checked)
+    checked, escape = _sweep(spec, box, vectors)
+    report = InvarianceReport(
+        spec.as_dict(), box, spec.algebra.index_names, escape is None, checked
+    )
+    if escape is not None:
+        g, f, image = escape
+        report.witness = f"{g} . ({f}) = {image} has constant term {image.constant_term}"
+    return report
 
 
 @dataclass

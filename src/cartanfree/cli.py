@@ -22,11 +22,14 @@ Literal grammars (the single source of truth for all text I/O, UTF-8):
 
     rat    ::= ['-'] int ['/' int]
     scalar ::= rat | rat ('+'|'-') rat 'i' | rat 'i'          e.g. -1/2+2/3i
-    poly   ::= term (('+'|'-') term)*
+    poly   ::= ['-'] term (('+'|'-') term)*                  e.g. -t^2 + 1
     term   ::= scalar | [scalar '*'] varpow ('*' varpow)*
     varpow ::= ('t' | 't' uint) ['^' uint]                    e.g. 2*t^3 - 1/2*t + 1, t1^2*t2
     gen    ::= 'L(' int [',' int] ')' | 'C' ['(' int ')']
-    elem   ::= [scalar '*'] gen (('+'|'-') [scalar '*'] gen)* e.g. L(1,2) - 3*C(0)
+    elem   ::= ['-'] [scalar '*'] gen (('+'|'-') [scalar '*'] gen)*   e.g. -L(1,2) - 3*C(0)
+
+A leading '-' before a variable or generator negates the first term;
+before a digit it is the sign of the scalar literal, as in -1/2*t.
 
 Scalars bind tightly (no whitespace inside a literal); L takes one index
 for the Virasoro algebra and two otherwise; C takes an index only for the
@@ -235,7 +238,6 @@ def _get_spec(args, algebra: Algebra) -> ModuleSpec:
             need("lambda", args.lam), need("mu", args.mu), need("alpha", args.alpha or "0")
         )
     if args.algebra == "block":
-        assert isinstance(algebra, type(algebra))
         q = parse_scalar(args.q)
         if q == -1:
             return OmegaBlockHV(

@@ -2,17 +2,23 @@
 
 Each family realizes its algebra on the polynomial space C[t] (Gaussian
 rational coefficients here), with L(0,...,0) acting as multiplication by t;
-a vector f(t) is literally f(L_{0,..,0}) applied to the generator 1.
+a vector f(t) is literally f(L_{0,..,0}) applied to the generator 1.  So a
+family is fixed by its entries x . 1, and every basis symbol x acts by the
+one rank-one rule
 
-* ``OmegaVir(lam, alpha)``          Virasoro:       L(i) . f = lam^i (t - i*alpha) f(t - i)
-* ``OmegaLoop(lam, mu, alpha)``     loop algebra:   L(i,j) . f = lam^(i-j) mu^j (t - i*alpha) f(t - i)
+    x . f(t) = f(t - s_x) * (x . 1),   s_x = i for L(i,...), m*q for L(m,j) in Block(q).
+
+The families differ only in their entries:
+
+* ``OmegaVir(lam, alpha)``          Virasoro:       L(i) . 1 = lam^i (t - i*alpha)
+* ``OmegaLoop(lam, mu, alpha)``     loop algebra:   L(i,j) . 1 = lam^(i-j) mu^j (t - i*alpha)
 * ``OmegaBlock(q, lam, alpha)``     Block(q), q not in {0, -1}:
-                                    L(m,0) . f = lam^m (t - m q alpha) f(t - m q); rows i >= 1 act as 0
+                                    L(m,0) . 1 = lam^m (t - m q alpha); rows i >= 1 act as 0
 * ``OmegaBlockHV(lam, alpha, beta)``  Block(-1):
-                                    L(m,0) . f = lam^m (t + m*alpha) f(t + m),
-                                    L(m,1) . f = lam^m beta f(t + m); rows i >= 2 act as 0
+                                    L(m,0) . 1 = lam^m (t + m*alpha),
+                                    L(m,1) . 1 = lam^m beta; rows i >= 2 act as 0
 * ``TensorOmega(factors)``          tensor products of loop factors acting on C[t1..tm]
-                                    by the Leibniz rule
+                                    by the Leibniz rule: each factor's rule in its own slot
 
 Central generators act as zero in every family.
 
@@ -38,7 +44,9 @@ from .algebras import (
     L,
     LOOP,
     VIRASORO,
+    _sym_sort_key,
     algebra_from_name,
+    parse_element,
 )
 from .errors import (
     DegreeMismatchError,
@@ -52,6 +60,7 @@ from .polynomials import (
     P_ONE,
     P_ZERO,
     Polynomial,
+    constant,
     parse_polynomial,
 )
 from .scalars import GaussianRational, ONE, ScalarLike, scalar
@@ -73,14 +82,53 @@ __all__ = [
 
 
 class ModuleSpec:
-    """Common interface of the module families."""
+    """Common interface of the module families.
+
+    A rank-one family is fixed by its entries x . 1: ``act_basis`` applies
+    the one rule x . f(t) = f(t - s_x) * (x . 1).  A family defines
+    ``entry`` and ``params``; the rule is factored once per symbol as
+    (shift, root, lead) with x . 1 = lead * (t - root), or root None when
+    x . 1 is the constant lead.
+    """
 
     family: str = ""
     algebra: Algebra
+    nvars = 1
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        self._rules: dict[BasisSymbol, tuple] = {}
+
+    def entry(self, sym: BasisSymbol) -> Polynomial:
+        """x . 1 for a valid basis symbol x; P_ZERO when x annihilates."""
+        raise NotImplementedError
+
+    def _rule(self, sym: BasisSymbol) -> tuple:
+        """(shift, root, lead) of sym, validated and factored on first use; () acts as 0."""
+        rule = self._rules.get(sym)
+        if rule is None:
+            self.algebra.validate_symbol(sym)
+            e = self.entry(sym)
+            if not e:
+                rule = ()
+            elif e.degree == 0:
+                rule = (_shift_amount(self.algebra, sym), None, e.constant_term)
+            else:
+                lead, root = _read_linear(e, str(sym))
+                rule = (_shift_amount(self.algebra, sym), root, lead)
+            self._rules[sym] = rule
+        return rule
 
     def act_basis(self, sym: BasisSymbol, f):
-        """Image of f under a basis symbol (exact)."""
-        raise NotImplementedError
+        """Image of f under a basis symbol (exact): f(t - s_x) * (x . 1)."""
+        rule = self._rule(sym)
+        if not rule:
+            return P_ZERO
+        shift, root, lead = rule
+        g = f.shift(shift)
+        if root is not None:
+            g = g.mul_linear(root)
+        return g.scale(lead)
 
     def vector(self, f):
         """f as a vector of this module; KindMismatchError when it is none.
@@ -137,9 +185,6 @@ class ModuleSpec:
     def __hash__(self) -> int:
         return hash((self.family, tuple(sorted((k, str(v)) for k, v in self.params().items()))))
 
-    def _check_sym(self, sym: BasisSymbol) -> None:
-        self.algebra.validate_symbol(sym)
-
 
 def _nonzero(name: str, v: ScalarLike) -> GaussianRational:
     v = scalar(v)
@@ -148,65 +193,46 @@ def _nonzero(name: str, v: ScalarLike) -> GaussianRational:
     return v
 
 
-class _PowCache:
-    """Memoized integer powers of a fixed nonzero scalar."""
-
-    __slots__ = ("base", "cache")
-
-    def __init__(self, base: GaussianRational):
-        self.base = base
-        self.cache: dict[int, GaussianRational] = {0: ONE, 1: base}
-
-    def __call__(self, n: int) -> GaussianRational:
-        hit = self.cache.get(n)
-        if hit is None:
-            hit = self.base**n
-            self.cache[n] = hit
-        return hit
+def _linear(lead: GaussianRational, root: GaussianRational) -> Polynomial:
+    """lead * (t - root)."""
+    return Polynomial((-lead * root, lead))
 
 
 class OmegaVir(ModuleSpec):
     family = "omega-vir"
 
     def __init__(self, lam: ScalarLike, alpha: ScalarLike):
+        super().__init__(VIRASORO)
         self.lam = _nonzero("lambda", lam)
         self.alpha = scalar(alpha)
-        self.algebra = VIRASORO
-        self._lam_pow = _PowCache(self.lam)
 
     def params(self):
         return {"lambda": self.lam, "alpha": self.alpha}
 
-    def act_basis(self, sym: BasisSymbol, f: Polynomial) -> Polynomial:
-        self._check_sym(sym)
+    def entry(self, sym: BasisSymbol) -> Polynomial:
         if sym[0] == "C":
             return P_ZERO
         i = sym[1]
-        g = f.shift(i).mul_linear(self.alpha.mul_int(i))
-        return g.scale(self._lam_pow(i))
+        return _linear(self.lam**i, self.alpha.mul_int(i))
 
 
 class OmegaLoop(ModuleSpec):
     family = "omega-loop"
 
     def __init__(self, lam: ScalarLike, mu: ScalarLike, alpha: ScalarLike):
+        super().__init__(LOOP)
         self.lam = _nonzero("lambda", lam)
         self.mu = _nonzero("mu", mu)
         self.alpha = scalar(alpha)
-        self.algebra = LOOP
-        self._lam_pow = _PowCache(self.lam)
-        self._mu_pow = _PowCache(self.mu)
 
     def params(self):
         return {"lambda": self.lam, "mu": self.mu, "alpha": self.alpha}
 
-    def act_basis(self, sym: BasisSymbol, f: Polynomial) -> Polynomial:
-        self._check_sym(sym)
+    def entry(self, sym: BasisSymbol) -> Polynomial:
         if sym[0] == "C":
             return P_ZERO
         i, j = sym[1], sym[2]
-        g = f.shift(i).mul_linear(self.alpha.mul_int(i))
-        return g.scale(self._lam_pow(i - j) * self._mu_pow(j))
+        return _linear(self.lam ** (i - j) * self.mu**j, self.alpha.mul_int(i))
 
 
 class OmegaBlock(ModuleSpec):
@@ -218,23 +244,19 @@ class OmegaBlock(ModuleSpec):
         q = _nonzero("q", q)
         if q == -1:
             raise ValueError("q = -1 belongs to the beta family (OmegaBlockHV)")
+        super().__init__(Block(q))
         self.q = q
         self.lam = _nonzero("lambda", lam)
         self.alpha = scalar(alpha)
-        self.algebra = Block(q)
-        self._lam_pow = _PowCache(self.lam)
 
     def params(self):
         return {"q": self.q, "lambda": self.lam, "alpha": self.alpha}
 
-    def act_basis(self, sym: BasisSymbol, f: Polynomial) -> Polynomial:
-        self._check_sym(sym)
+    def entry(self, sym: BasisSymbol) -> Polynomial:
         if sym[0] == "C" or sym[2] != 0:
             return P_ZERO
         m = sym[1]
-        mq = self.q.mul_int(m)
-        g = f.shift(mq).mul_linear(mq * self.alpha)
-        return g.scale(self._lam_pow(m))
+        return _linear(self.lam**m, self.q.mul_int(m) * self.alpha)
 
 
 class OmegaBlockHV(ModuleSpec):
@@ -243,34 +265,29 @@ class OmegaBlockHV(ModuleSpec):
     family = "omega-block-hv"
 
     def __init__(self, lam: ScalarLike, alpha: ScalarLike, beta: ScalarLike):
+        super().__init__(Block(-1))
         self.lam = _nonzero("lambda", lam)
         self.alpha = scalar(alpha)
         self.beta = scalar(beta)
         self.q = scalar(-1)
-        self.algebra = Block(-1)
-        self._lam_pow = _PowCache(self.lam)
 
     def params(self):
         return {"lambda": self.lam, "alpha": self.alpha, "beta": self.beta}
 
-    def act_basis(self, sym: BasisSymbol, f: Polynomial) -> Polynomial:
-        self._check_sym(sym)
+    def entry(self, sym: BasisSymbol) -> Polynomial:
         if sym[0] == "C" or sym[2] >= 2:
             return P_ZERO
         m = sym[1]
         if sym[2] == 1:
-            if not self.beta:
-                return P_ZERO
-            return f.shift(-m).scale(self._lam_pow(m) * self.beta)
-        g = f.shift(-m).mul_linear(self.alpha.mul_int(-m))
-        return g.scale(self._lam_pow(m))
+            return constant(self.lam**m * self.beta)
+        return _linear(self.lam**m, self.alpha.mul_int(-m))
 
 
 class TensorOmega(ModuleSpec):
     """Tensor product of loop-family factors acting on C[t1..tm].
 
-    A symbol acts by the Leibniz rule: it is applied to each tensor slot in
-    turn with that factor's parameters, and the results are summed.
+    A symbol acts by the Leibniz rule: each factor's rank-one rule is
+    applied to that factor's tensor slot, and the results are summed.
     """
 
     family = "tensor-omega"
@@ -278,29 +295,21 @@ class TensorOmega(ModuleSpec):
     def __init__(self, factors: Sequence[tuple[ScalarLike, ScalarLike, ScalarLike]]):
         if len(factors) < 1:
             raise ValueError("need at least one tensor factor")
-        self.factors = [
-            (_nonzero("lambda", lam), _nonzero("mu", mu), scalar(alpha))
-            for lam, mu, alpha in factors
-        ]
+        super().__init__(LOOP)
+        self.factors = [OmegaLoop(lam, mu, alpha) for lam, mu, alpha in factors]
         self.nvars = len(self.factors)
-        self.algebra = LOOP
-        self._lam_pows = [_PowCache(lam) for lam, _, _ in self.factors]
-        self._mu_pows = [_PowCache(mu) for _, mu, _ in self.factors]
 
     def params(self):
         out: dict[str, GaussianRational] = {}
-        for k, (lam, mu, alpha) in enumerate(self.factors, start=1):
-            out[f"lambda{k}"] = lam
-            out[f"mu{k}"] = mu
-            out[f"alpha{k}"] = alpha
+        for k, factor in enumerate(self.factors, start=1):
+            out.update({f"{name}{k}": v for name, v in factor.params().items()})
         return out
 
     def as_dict(self) -> dict:
         return {
             "family": self.family,
             "factors": [
-                {"lambda": str(lam), "mu": str(mu), "alpha": str(alpha)}
-                for lam, mu, alpha in self.factors
+                {name: str(v) for name, v in factor.params().items()} for factor in self.factors
             ],
         }
 
@@ -324,15 +333,13 @@ class TensorOmega(ModuleSpec):
         return f
 
     def act_basis(self, sym: BasisSymbol, f: MultiPolynomial) -> MultiPolynomial:
-        self._check_sym(sym)
         f = self.vector(f)
-        if sym[0] == "C":
-            return MultiPolynomial(self.nvars)
-        i, j = sym[1], sym[2]
         acc = MultiPolynomial(self.nvars)
-        for k, (lam, mu, alpha) in enumerate(self.factors):
-            g = f.shift_var(k, i).mul_linear_var(k, alpha.mul_int(i))
-            acc = acc + g.scale(self._lam_pows[k](i - j) * self._mu_pows[k](j))
+        for k, factor in enumerate(self.factors):
+            rule = factor._rule(sym)
+            if rule:
+                shift, root, lead = rule
+                acc = acc + f.shift_var(k, shift).mul_linear_var(k, root).scale(lead)
         return acc
 
 
@@ -359,7 +366,7 @@ class ActionTable:
             "box": self.box.as_dict(self.algebra.index_names),
             "entries": [
                 {"sym": str(s), "poly": str(p)}
-                for s, p in sorted(self.entries.items(), key=lambda kv: (kv[0][0] != "L", kv[0][1:]))
+                for s, p in sorted(self.entries.items(), key=lambda kv: _sym_sort_key(kv[0]))
             ],
         }
         return json.dumps(body, indent=2)
@@ -386,8 +393,6 @@ class ActionTable:
         second = tuple(box_spec[names[1]]) if len(names) > 1 and names[1] in box_spec else None
         box = IndexBox(first, second)
         entries: dict[BasisSymbol, Polynomial] = {}
-        from .algebras import parse_element  # symbol syntax shared with elements
-
         for item in body.get("entries", []):
             elem = parse_element(algebra, item["sym"])
             if len(elem.terms) != 1 or ONE not in elem.terms.values():
@@ -404,9 +409,7 @@ def build_action_table(spec: ModuleSpec, box: IndexBox) -> ActionTable:
     """Tabulate sym . 1 over the box for a rank-one family."""
     if isinstance(spec, TensorOmega):
         raise KindMismatchError("action tables are defined for the rank-one families")
-    entries = {
-        sym: spec.act_basis(sym, P_ONE) for sym in spec.algebra.symbols_in_box(box)
-    }
+    entries = {sym: spec.entry(sym) for sym in spec.algebra.symbols_in_box(box)}
     return ActionTable(spec.algebra, box, entries)
 
 
@@ -423,12 +426,14 @@ class MatchResult:
 
 def match_template(table: ActionTable, spec: ModuleSpec) -> MatchResult:
     """Does every table entry equal the closed form of the given family?"""
+    if isinstance(spec, TensorOmega):
+        raise KindMismatchError("action tables are defined for the rank-one families")
     if spec.algebra != table.algebra:
         raise KindMismatchError(
             f"table over {table.algebra.describe()} vs family over {spec.algebra.describe()}"
         )
-    for sym in sorted(table.entries, key=lambda s: (s[0] != "L", s[1:])):
-        expected = spec.act_basis(sym, P_ONE)
+    for sym in sorted(table.entries, key=_sym_sort_key):
+        expected = spec.entry(sym)
         if table.entries[sym] != expected:
             return MatchResult(False, sym, expected, table.entries[sym])
     return MatchResult(True)
@@ -508,10 +513,11 @@ def derive_parameters(table: ActionTable) -> Derivation:
     * for the Block family at q = -1, beta is the constant L(1,1)-entry
       divided by lambda.
 
-    Every remaining entry is then compared to the closed form, and every
-    bracket [x, y] whose output symbols stay inside the table is checked
-    against the shift rule x . (y . 1) - y . (x . 1); the first failure is
-    reported as a violation.
+    Every remaining entry is then compared to the closed form; once all
+    match, the module axioms of the derived family are checked on 1 for
+    every pair of box symbols, which covers every bracket constraint
+    [x, y] . 1 = x . (y . 1) - y . (x . 1) the table supports.  The first
+    failure is reported as a violation.
     """
     alg = table.algebra
     if alg == LOOP:
@@ -547,40 +553,12 @@ def _shift_amount(alg: Algebra, sym: BasisSymbol) -> GaussianRational:
     return GaussianRational.from_int(sym[1])
 
 
-def _bracket_constraints(table: ActionTable, deriv: Derivation) -> str | None:
-    """Check x.(y.1) - y.(x.1) = [x,y].1 for all pairs the table supports."""
-    alg = table.algebra
-    syms = sorted(table.entries, key=lambda s: (s[0] != "L", s[1:]))
-    entry = table.entries
-    shifted: dict[tuple[BasisSymbol, BasisSymbol], Polynomial] = {}
-
-    def act_on(x: BasisSymbol, g: Polynomial) -> Polynomial:
-        # the rank-one shift rule: x . g(t) = g(t - shift(x)) * entry[x]
-        return g.shift(_shift_amount(alg, x)) * entry[x]
-
-    for a in range(len(syms)):
-        for b in range(a + 1, len(syms)):
-            x, y = syms[a], syms[b]
-            pairs = alg.bracket_pairs(x, y)
-            if any(s not in entry for s, _ in pairs):
-                continue  # bracket escapes the tabulated box
-            lhs = P_ZERO
-            for s, c in pairs:
-                lhs = lhs + entry[s] * c
-            rhs = act_on(x, entry[y]) - act_on(y, entry[x])
-            deriv.bracket_constraints_checked += 1
-            if lhs != rhs:
-                return (
-                    f"bracket constraint on [{x},{y}] fails: "
-                    f"[{x},{y}].1 = {lhs} but x.(y.1) - y.(x.1) = {rhs}"
-                )
-    return None
-
-
 def _finish(deriv: Derivation, table: ActionTable, spec: ModuleSpec) -> Derivation:
     """Cross-check all entries against the closed form, then the brackets."""
-    for sym in sorted(table.entries, key=lambda s: (s[0] != "L", s[1:])):
-        expected = spec.act_basis(sym, P_ONE)
+    from .analysis import module_axiom_check  # analysis builds on this module
+
+    for sym in sorted(table.entries, key=_sym_sort_key):
+        expected = spec.entry(sym)
         found = table.entries[sym]
         deriv.entries_checked += 1
         if found == expected:
@@ -599,10 +577,13 @@ def _finish(deriv: Derivation, table: ActionTable, spec: ModuleSpec) -> Derivati
             deriv.violation = f"entry {sym} = {found} should be {expected}"
         deriv.params = None
         return deriv
-    failure = _bracket_constraints(table, deriv)
-    if failure is not None:
+    # every entry now equals the spec's x . 1, so the axioms of the spec on 1
+    # cover each bracket constraint x.(y.1) - y.(x.1) = [x,y].1 of the table
+    report = module_axiom_check(spec, table.box, (P_ONE,))
+    deriv.bracket_constraints_checked = report.pairs_checked
+    if not report.ok:
         deriv.params = None
-        deriv.violation = failure
+        deriv.violation = f"bracket constraint {report.violations[0]}"
     return deriv
 
 

@@ -649,6 +649,8 @@ def parse_polynomial(text: str) -> Polynomial | MultiPolynomial:
                 i = _skip_ws(text, i + 1)
             else:
                 raise ParseError(f"expected '+' or '-', found {text[i]!r}", i)
+        elif text[i] == "-" and text.startswith("t", _skip_ws(text, i + 1)):
+            sign, i = -1, _skip_ws(text, i + 1)  # leading minus before a variable
         first = False
         coef = ONE
         powers: dict[int, int] = {}

@@ -230,6 +230,14 @@ class TestElementParsing:
     def test_zero_literal(self):
         assert parse_element(LOOP, "0").is_zero
 
+    def test_leading_minus_before_generator(self):
+        assert parse_element(VIRASORO, "-L(1)").terms == {L(1): scalar(-1)}
+        e = parse_element(LOOP, "- L(1,2) + 3*C(0)")
+        assert e.terms == {L(1, 2): scalar(-1), C(0): scalar(3)}
+        assert parse_element(VIRASORO, "-C").terms == {C(): scalar(-1)}
+        with pytest.raises(ParseError):
+            parse_element(VIRASORO, "--L(1)")
+
     def test_coefficient_forms(self):
         e = parse_element(VIRASORO, "-4*L(0) + 1/2*C")
         assert e.terms == {L(0): scalar(-4), C(): scalar("1/2")}

@@ -223,10 +223,16 @@ class TestTensorProbe:
 
     def test_single_factor_agrees_with_simplicity_probe(self):
         cfg = ProbeConfig(seeds=(P_ONE, T))
-        direct = simplicity_probe(OmegaLoop(2, 3, 1), cfg)
-        tensed = tensor_irreducibility_probe([(2, 3, 1)], cfg)
-        assert direct.verdict == tensed.verdict
-        assert direct.dim == tensed.dim
+        for alpha in (1, 0):
+            direct = simplicity_probe(OmegaLoop(2, 3, alpha), cfg)
+            tensed = tensor_irreducibility_probe([(2, 3, alpha)], cfg)
+            assert direct.verdict == tensed.verdict
+            assert direct.dim == tensed.dim
+            # seed keys render t as t1 in the tensor module; the dims must agree
+            assert list(direct.seed_dims.values()) == list(tensed.seed_dims.values())
+            assert direct.witness == tensed.witness
+            assert direct.certificate == tensed.certificate
+        assert direct.certificate == "invariant-certified"  # alpha = 0
 
     def test_alpha_zero_factor_gives_invariant_slice(self):
         cfg = ProbeConfig(max_degree=3, seeds=(parse_polynomial("t1"),))

@@ -66,6 +66,14 @@ class TestAct:
         )
         assert code == 0 and out.strip() == "2*t + 6"
 
+    def test_leading_minus_in_arguments(self, capsys):
+        # -L(1,0) . (-t) = L(1,0) . t = 2 (t - 1)^2
+        code, out, err = run(
+            capsys, "act", "--algebra", "loop", "--lambda", "2", "--mu", "3",
+            "--alpha", "1", "--", "-L(1,0)", "-t",
+        )
+        assert (code, err) == (0, "") and out.strip() == "2*t^2 - 4*t + 2"
+
 
 class TestChecks:
     def test_composition_passes(self, capsys):
@@ -203,6 +211,7 @@ class TestExitCodeContract:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "scalar ::=" in out and "gen" in out
+        assert "poly   ::= ['-'] term" in out and "elem   ::= ['-']" in out
 
 
 class TestIndexedVectorsRejected:

@@ -157,6 +157,9 @@ class TestActionTables:
     def test_tensor_rejected(self):
         with pytest.raises(KindMismatchError):
             build_action_table(TensorOmega([(2, 1, 1)]), BOX2_LOOP)
+        table = build_action_table(OmegaLoop(2, 1, 1), BOX2_LOOP)
+        with pytest.raises(KindMismatchError):
+            match_template(table, TensorOmega([(2, 1, 1)]))
 
     def test_json_round_trip(self):
         for spec, box in [
@@ -230,12 +233,20 @@ class TestDeriveParameters:
             derive_parameters(table)
 
     def test_bracket_constraint_violation(self):
-        # corrupt an entry the closed-form scan reads late, in a way that
-        # keeps its shape lam^(i-j) mu^j (t - i alpha) locally consistent
+        # a corrupted entry keeps the shape lam^(i-j) mu^j (t - i alpha) up to
+        # a factor; the closed-form entry scan catches it before the bracket
+        # phase runs
         table = build_action_table(OmegaLoop(2, 3, 2), BOX2_LOOP)
         table.entries[L(2, 2)] = table.entries[L(2, 2)] * 7
         deriv = derive_parameters(table)
         assert not deriv.ok
+        assert deriv.violation == "entry L(2,2) = 63*t - 252 should be 9*t - 36"
+        assert deriv.bracket_constraints_checked == 0
+
+    def test_bracket_phase_covers_every_box_pair(self):
+        # 25 L-symbols and 5 central symbols in the box: 30 * 29 / 2 pairs
+        deriv = derive_parameters(build_action_table(OmegaLoop(2, 3, 2), BOX2_LOOP))
+        assert deriv.ok and deriv.bracket_constraints_checked == 435
 
     def test_block_families(self):
         spec = OmegaBlock(scalar("3/2"), 2, scalar("-1/2"))

@@ -163,6 +163,16 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_polynomial("3t")
 
+    def test_leading_minus_before_variable(self):
+        assert parse_polynomial("-t") == -T
+        assert parse_polynomial("-t^2+1") == constant(1) - monomial(2)
+        assert parse_polynomial("- t") == parse_polynomial("-1*t")
+        assert parse_polynomial("-t1*t2 + t2") == parse_polynomial("-1*t1*t2 + t2")
+        assert parse_polynomial("-3") == constant(-3)  # sign of the literal, as before
+        for bad in ("--t", "-", "-x"):
+            with pytest.raises(ParseError):
+                parse_polynomial(bad)
+
     @given(polynomials())
     def test_render_parse_round_trip(self, f):
         assert parse_polynomial(str(f)) == f
