@@ -5,7 +5,9 @@ classification, tensor irreducibility probing, and center reports.
 The probes work inside a finite window: a box of algebra generators and a
 degree cap D on polynomial vectors.  Action images that leave the window
 are discarded (never truncated), so a computed closure is always a
-subspace of the true submodule intersected with the window.  Consequently
+subspace of the true submodule intersected with the window (the window,
+not the global polynomial degree cap, also bounds a probe's arithmetic).
+Consequently
 
 * ``FillsWindow`` is affirmative evidence for simplicity at that window,
   never a proof;
@@ -15,6 +17,16 @@ subspace of the true submodule intersected with the window.  Consequently
   independent invariance sweep confirms that every generator in the box
   preserves that slice.  The certified case is a genuine witness of
   non-simplicity.
+
+A probe acts with a spanning subset of the box generators
+(``ModuleSpec.spanning_symbols``): generators that share every slot's
+shift and root act as lead-weighted sums of the same slot operators, so
+only those with independent lead vectors are applied, and generators
+acting as 0 are skipped.  Every other generator's image of a vector lies
+in the span of the applied generators' images of it, so the closure is
+the closure under the whole box.  The certificate sweep and
+``submodule_invariance_check`` still apply every box generator, as an
+independent check.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from .algebras import (
     IndexBox,
     centrality_check,
 )
-from .errors import DegreeOverflowError, MaxRoundsExceededError, NotInSubmoduleError
+from .errors import MaxRoundsExceededError, NotInSubmoduleError
 from .linalg import SpanBasis, VectorWindow
 from .modules import (
     ActionTable,
@@ -41,7 +53,7 @@ from .modules import (
     strip_t,
 )
 from .polynomials import MultiPolynomial, P_ONE, Polynomial, T, monomial, parse_polynomial
-from .scalars import GaussianRational, I, ZERO, scalar
+from .scalars import GaussianRational, I, ONE, ZERO, scalar
 
 __all__ = [
     "ProbeConfig",
@@ -207,10 +219,13 @@ class _WindowPair:
         return v
 
     def window_poly(self, tail: list):
-        """Rebuild the polynomial of an inside-region row tail."""
+        """Rebuild the polynomial of an inside-region row tail; the window bounds its degree."""
         if self.nvars == 1:
-            return Polynomial(tail)
-        return MultiPolynomial(
+            n = len(tail)
+            while n and not tail[n - 1]:
+                n -= 1
+            return Polynomial._raw(tuple(tail[:n]))
+        return MultiPolynomial._raw(
             self.nvars, {e: c for e, c in zip(self.win_monos, tail) if c}
         )
 
@@ -222,13 +237,22 @@ def _closure(
     wp: _WindowPair,
     max_rounds: int | None,
 ) -> SpanBasis:
-    """Window closure of span{seed} under the boxed generator actions.
+    """Window closure of span{seed} under the actions of gens.
 
     Images are staged in the extended window; after each round the part of
     their cumulative span that lies inside the probe window is folded into
     the closure, and genuinely new directions feed the next round.  Because
     the action is linear, images of the recorded spanning vectors generate
     the images of the whole closure, so the loop reaches a true fixpoint.
+
+    gens need only span the operators of the box generators (see
+    ``ModuleSpec.spanning_symbols``): every other generator's image of a
+    vector lies in the span of their images of it, so each round's staged
+    span is the same.  Only staged rows whose pivot is new in a round are
+    folded: an older inside-window row was folded before and has since
+    changed only by multiples of newer inside-window rows (elimination
+    clears a new pivot column, whose pivot lies after the old row's), so
+    the folded span is the same as folding every row.
     """
     main = SpanBasis(wp.window.dim)
     main.insert(wp.window.vector_of(seed))
@@ -242,19 +266,16 @@ def _closure(
             raise MaxRoundsExceededError(
                 f"closure did not stabilize within {budget} rounds"
             )
+        folded = set(staged.pivots)
         for f in frontier:
             for g in gens:
                 image = act(g, f)
-                if not image:
-                    continue
-                try:
+                if image:
                     staged.insert(wp.ext_vector(image))
-                except DegreeOverflowError:
-                    continue  # cannot happen: actions raise degree by at most 1
         frontier = []
         for row, piv in zip(staged.rows, staged.pivots):
-            if piv < wp.n_outside:
-                continue  # row reaches outside the window: not usable as-is
+            if piv < wp.n_outside or piv in folded:
+                continue  # reaches outside the window, or folded in an earlier round
             tail = row[wp.n_outside:]
             if main.insert(tail):
                 frontier.append(wp.window_poly(tail))
@@ -321,7 +342,8 @@ def _prepare_seed(seed, window: VectorWindow, spec: ModuleSpec):
 def simplicity_probe(spec: ModuleSpec, cfg: ProbeConfig = ProbeConfig()) -> ProbeVerdict:
     """Probe a rank-one family for proper invariant subspaces in a window.
 
-    Each seed's span is closed under all generators in the box, keeping
+    Each seed's span is closed under the generators in the box (acting
+    with a spanning subset of them, which gives the same closure), keeping
     only images inside the degree window.  FillsWindow requires every seed
     to reach the full window dimension; otherwise the smallest closure is
     reported with a missing-coset witness.
@@ -352,7 +374,7 @@ def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
     """The probe body shared by both public probes."""
     wp = _WindowPair(spec.nvars, cfg.max_degree)
     window = wp.window
-    gens = spec.algebra.symbols_in_box(cfg.box)
+    gens = spec.spanning_symbols(spec.algebra.symbols_in_box(cfg.box))
     seed_dims: dict[str, int] = {}
     worst: SpanBasis | None = None
     for seed in cfg.seeds:
@@ -586,10 +608,10 @@ def composition_series_check(
     spec0 = OmegaLoop(lam, mu, 0)
     spec1 = OmegaLoop(lam, mu, 1)
     detail: list[str] = []
+    # t, .., t^D: max_degree, not the global degree cap, bounds them
+    t_powers = [Polynomial._raw((ZERO,) * k + (ONE,)) for k in range(1, max_degree + 1)]
 
-    inv = submodule_invariance_check(
-        spec0, box, [monomial(k) for k in range(1, max_degree + 1)]
-    )
+    inv = submodule_invariance_check(spec0, box, t_powers)
     if not inv.ok:
         detail.append(inv.witness or "invariance failed")
 
@@ -609,8 +631,7 @@ def composition_series_check(
     # (c) the intertwiner: strip_t(x . g) = x . strip_t(g) across modules
     intertwiner = True
     for g in spec0.algebra.symbols_in_box(box):
-        for k in range(max_degree):
-            vec = monomial(k + 1)  # t * t^k
+        for vec in t_powers:
             lhs = spec0.act_basis(g, vec)
             rhs = spec1.act_basis(g, strip_t(vec))
             try:

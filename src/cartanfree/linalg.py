@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import DegreeOverflowError, DimensionMismatchError
 from .polynomials import MultiPolynomial, Polynomial, window_monomials
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = ["SpanBasis", "VectorWindow", "poly_to_vector"]
 
@@ -134,18 +134,16 @@ class VectorWindow:
         return v
 
     def monomial(self, idx: int) -> "Polynomial | MultiPolynomial":
-        """The idx-th window monomial as a polynomial."""
+        """The idx-th window monomial as a polynomial; the window bounds its degree."""
         if self.nvars == 1:
-            from .polynomials import monomial
-
-            return monomial(idx)
-        return MultiPolynomial(self.nvars, {self._monomials[idx]: 1})
+            return Polynomial._raw((ZERO,) * idx + (ONE,))
+        return MultiPolynomial._raw(self.nvars, {self._monomials[idx]: ONE})
 
     def missing_monomial(self, basis: SpanBasis) -> "Polynomial | MultiPolynomial | None":
         """A window monomial outside the span (a coset witness), if any."""
         for idx in range(self.dim):
             v = [ZERO] * self.dim
-            v[idx] = GaussianRational.from_int(1)
+            v[idx] = ONE
             if not basis.contains(v):
                 return self.monomial(idx)
         return None

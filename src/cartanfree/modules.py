@@ -55,6 +55,7 @@ from .errors import (
     NotInSubmoduleError,
     ParseError,
 )
+from .linalg import SpanBasis
 from .polynomials import (
     MultiPolynomial,
     P_ONE,
@@ -63,7 +64,7 @@ from .polynomials import (
     constant,
     parse_polynomial,
 )
-from .scalars import GaussianRational, ONE, ScalarLike, scalar
+from .scalars import GaussianRational, ONE, ZERO, ScalarLike, scalar
 
 __all__ = [
     "ModuleSpec",
@@ -129,6 +130,37 @@ class ModuleSpec:
         if root is not None:
             g = g.mul_linear(root)
         return g.scale(lead)
+
+    def _slots(self) -> Sequence["ModuleSpec"]:
+        """The specs whose rules act on the tensor slots, in slot order."""
+        return (self,)
+
+    def spanning_symbols(self, syms: Sequence[BasisSymbol]) -> list[BasisSymbol]:
+        """A subset of syms whose operators span the operators of all of syms.
+
+        In slot k a symbol acts as lead_k * O_k, where the slot operator O_k
+        is fixed by (shift_k, root_k).  Symbols sharing every slot's
+        (shift, root) therefore act as lead-weighted sums of the same slot
+        operators: one whose lead vector depends linearly on those of the
+        symbols kept before it acts as the same combination of their
+        operators, and a symbol that acts as 0 in every slot is dropped.
+        The image of a vector under any symbol of syms lies in the span of
+        its images under the returned symbols.
+        """
+        slots = self._slots()
+        groups: dict[tuple, SpanBasis] = {}
+        kept = []
+        for sym in syms:
+            rules = [slot._rule(sym) for slot in slots]
+            if not any(rules):
+                continue
+            key = tuple(rule[:2] if rule else None for rule in rules)
+            leads = groups.get(key)
+            if leads is None:
+                leads = groups[key] = SpanBasis(len(slots))
+            if leads.insert([rule[2] if rule else ZERO for rule in rules]):
+                kept.append(sym)
+        return kept
 
     def vector(self, f):
         """f as a vector of this module; KindMismatchError when it is none.
@@ -312,6 +344,9 @@ class TensorOmega(ModuleSpec):
                 {name: str(v) for name, v in factor.params().items()} for factor in self.factors
             ],
         }
+
+    def _slots(self) -> Sequence[ModuleSpec]:
+        return self.factors
 
     def one(self) -> MultiPolynomial:
         return MultiPolynomial.constant(self.nvars, 1)
@@ -652,4 +687,4 @@ def strip_t(g: Polynomial) -> Polynomial:
         raise NotInSubmoduleError(
             f"{g} has nonzero constant term, so it is not a multiple of t"
         )
-    return Polynomial(g.coeffs[1:])
+    return Polynomial._raw(g.coeffs[1:])

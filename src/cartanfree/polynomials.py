@@ -22,9 +22,13 @@ forms) run as loops over integer numerators with one common denominator
 and normalise each output coefficient once; coefficients stay canonical
 GaussianRationals, so == and hash remain exact.
 
-A global degree cap (default 64) makes runaway closure loops fail loudly
-instead of silently producing enormous polynomials.  Parsed literals are
-checked against it after like terms combine.
+A global degree cap (default 64) bounds the inputs: polynomials built
+from coefficient lists or parsed literals (checked after like terms
+combine), and full products, which can double a degree, fail loudly
+above it.  The rank-one kernels (shift, mul_linear, scale and their
+multivariate forms) raise a degree by at most one and leave the bound to
+their callers: a probe's window bounds every vector it keeps, whatever
+the cap.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def degree_cap() -> int:
 def _check_cap(deg: int) -> None:
     if deg > _degree_cap:
         raise DegreeOverflowError(
-            f"degree {deg} exceeds the configured cap {_degree_cap}"
+            f"degree {deg} exceeds the polynomial degree cap {_degree_cap}"
         )
 
 
@@ -165,7 +169,7 @@ class Polynomial:
 
     @staticmethod
     def _raw(cs: tuple[GaussianRational, ...]) -> "Polynomial":
-        """Trusted constructor: already stripped and within the cap."""
+        """Trusted constructor: already stripped; the caller bounds the degree."""
         p = object.__new__(Polynomial)
         p.coeffs = cs
         return p
@@ -279,7 +283,6 @@ class Polynomial:
         cs = self.coeffs
         if not cs:
             return P_ZERO
-        _check_cap(len(cs))
         rp, ri, rq = _parts(root)
         if not (rp or ri):
             return Polynomial._raw((ZERO,) + cs)
@@ -547,7 +550,6 @@ class MultiPolynomial:
         """Multiply by (t_k - root)."""
         if not self.terms:
             return self
-        _check_cap(max(e[k] for e in self.terms) + 1)
         rp, ri, rq = _parts(root)
         if not (rp or ri):
             return MultiPolynomial._raw(

@@ -285,3 +285,43 @@ class TestProbeGuards:
 
         with pytest.raises(DegreeOverflowError):
             simplicity_probe(OmegaLoop(2, 3, 1), ProbeConfig(max_degree=2, seeds=("t^3",)))
+
+    @pytest.mark.parametrize(
+        "spec,D,seeds,last_failing",
+        [
+            (OmegaLoop(2, 3, 1), 12, (P_ONE,), 11),
+            (OmegaLoop(2, 3, 0), 12, (T,), 11),
+            (TensorOmega([(2, 1, 1), (2, 3, 1)]), 4, (P_ONE,), 7),
+            (TensorOmega([(2, 1, 1), (2, 1, 1)]), 4, (P_ONE,), 4),
+        ],
+    )
+    def test_round_count_is_kept(self, spec, D, seeds, last_failing):
+        # closing under a spanning subset and folding only new pivots leaves
+        # each round's staged span, hence the number of rounds, unchanged
+        from cartanfree.errors import MaxRoundsExceededError
+
+        with pytest.raises(MaxRoundsExceededError):
+            simplicity_probe(spec, ProbeConfig(max_degree=D, seeds=seeds, max_rounds=last_failing))
+        cfg = ProbeConfig(max_degree=D, seeds=seeds, max_rounds=last_failing + 1)
+        assert simplicity_probe(spec, cfg).seed_dims
+
+
+class TestWindowBoundsDegrees:
+    """A probe's window, not the global degree cap (64), bounds its arithmetic."""
+
+    def test_probe_window_above_the_cap(self):
+        verdict = simplicity_probe(OmegaLoop(2, 1, 1), ProbeConfig(max_degree=70, seeds=(P_ONE, T)))
+        assert verdict.verdict == "FillsWindow" and verdict.dim == 71
+        verdict = simplicity_probe(OmegaLoop(2, 1, 0), ProbeConfig(max_degree=70, seeds=(T,)))
+        assert verdict.dim == 70 and verdict.witness == "1"
+        assert verdict.certificate == "invariant-certified"
+
+    def test_composition_window_above_the_cap(self):
+        report = composition_series_check(2, 3, IndexBox((-1, 1), (-1, 1)), 70)
+        assert report.ok
+
+    def test_literals_keep_the_cap(self):
+        from cartanfree.errors import DegreeOverflowError
+
+        with pytest.raises(DegreeOverflowError, match="polynomial degree cap 64"):
+            simplicity_probe(OmegaLoop(2, 1, 1), ProbeConfig(max_degree=70, seeds=("t^70",)))

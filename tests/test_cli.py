@@ -137,6 +137,18 @@ class TestProbes:
         body = json.loads(out)
         assert body["verdict"] == "FillsWindow" and body["dim"] == 16
 
+    def test_window_above_the_degree_cap(self, capsys):
+        argv = (
+            "probe", "simplicity", "--algebra", "loop", "--lambda", "2", "--mu", "1",
+            "--alpha", "1", "--max-degree", "70",
+        )
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("FillsWindow(71)")
+        code, _, err = run(capsys, *argv, "--seeds", "t^70")
+        assert code == 2
+        assert "degree 70 exceeds the polynomial degree cap 64" in err
+
 
 class TestTablesAndClassify:
     def test_emit_derive_round_trip(self, capsys, tmp_path):
