@@ -29,6 +29,7 @@ in truncated Block algebras).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
     ParseError,
     TruncationRangeError,
 )
-from .scalars import GaussianRational, ONE, ZERO, ScalarLike, scalar, scan_scalar
+from .scalars import GaussianRational, ONE, ScalarLike, scalar, scan_scalar
 
 __all__ = [
     "BasisSymbol",
@@ -764,13 +765,17 @@ class JacobiReport:
     Antisymmetry is checked on every unordered pair and the cyclic Jacobi
     sum on every unordered triple of distinct symbols; together these imply
     the identity for all ordered triples (repetitions reduce to
-    antisymmetry).
+    antisymmetry).  Both passes read a table of brackets that
+    ``jacobi_check`` builds for the one call and drops on return;
+    ``brackets_evaluated`` is its number of entries, which is the number of
+    ``bracket_pairs`` calls the sweep made.
     """
 
     algebra: Algebra
     box: IndexBox
     pairs_checked: int = 0
     triples_checked: int = 0
+    brackets_evaluated: int = 0
     violations: list[str] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -788,6 +793,7 @@ class JacobiReport:
             "box": self.box.as_dict(self.algebra.index_names),
             "pairs_checked": self.pairs_checked,
             "triples_checked": self.triples_checked,
+            "brackets_evaluated": self.brackets_evaluated,
             "violations": self.violations,
             "ok": self.ok,
         }
@@ -801,64 +807,118 @@ class JacobiReport:
         )
 
 
+# one jacobi_check table entry: (symbol index, re, im) per term, over the
+# sweep's common denominator
+_TableEntry = tuple[tuple[int, int, int], ...]
+
+
 def jacobi_check(algebra: Algebra, box: IndexBox = DEFAULT_BOX) -> JacobiReport:
-    """Verify antisymmetry and the Jacobi identity on every triple in the box."""
+    """Verify antisymmetry and the Jacobi identity on every triple in the box.
+
+    Both passes read one structure table, built first and local to the
+    call.  Its rows are [s, w] for every box symbol w, one row per symbol
+    s that is in the box or that some in-box bracket reaches: exactly the
+    brackets the cyclic sums take, so ``bracket_pairs`` is called once per
+    entry.  An entry lists (symbol index, re, im) for each term, the
+    coefficient being (re + im*i)/D over one common denominator D, the lcm
+    of every denominator met so far; when a coefficient brings a new one,
+    D grows and the stored entries are rescaled.  Equal entries are stored
+    once.  Each term of a cyclic sum is a product of two numerators over
+    D^2, so the sum is an exact integer sum over D^2; only a nonzero one is
+    turned back into scalars, to write its violation.
+    """
     syms = algebra.symbols_in_box(box)
-    report = JacobiReport(algebra, box)
+    n = len(syms)
     bp = algebra.bracket_pairs
+    symbols = list(syms)  # symbol index -> symbol; box symbols first
+    index = {s: k for k, s in enumerate(syms)}
+    table: list[list[_TableEntry]] = []
+    shared: dict[_TableEntry, _TableEntry] = {}
+    den = 1
+
+    def tabulate(x: BasisSymbol) -> None:
+        nonlocal den, shared
+        row: list[_TableEntry] = []
+        table.append(row)
+        for w in syms:
+            terms = bp(x, w)
+            for _, c in terms:
+                if den % c.d:
+                    f = c.d // gcd(den, c.d)
+                    den *= f
+                    scaled = {e: tuple((k, re * f, im * f) for k, re, im in e) for e in shared}
+                    for r in table:
+                        r[:] = [scaled[e] for e in r]
+                    shared = {e: e for e in scaled.values()}
+            entry = []
+            for s, c in terms:
+                k = index.get(s)
+                if k is None:
+                    k = index[s] = len(symbols)
+                    symbols.append(s)
+                m = den // c.d
+                entry.append((k, c.a * m, c.b * m))
+            entry = tuple(entry)
+            row.append(shared.setdefault(entry, entry))
+
+    for x in syms:
+        tabulate(x)
+    reached = len(symbols)  # box symbols, then those in-box brackets reach
+    for k in range(n, reached):
+        tabulate(symbols[k])
+
+    report = JacobiReport(algebra, box, brackets_evaluated=len(table) * n)
+    violations = report.violations
     # antisymmetry on unordered pairs (and [x,x] = 0 on the diagonal)
-    for a in range(len(syms)):
-        x = syms[a]
-        if bp(x, x):
-            report.violations.append(f"[{x},{x}] != 0")
-        for b in range(a + 1, len(syms)):
-            y = syms[b]
-            fwd = dict(bp(x, y))
-            for s, c in bp(y, x):
-                prev = fwd.get(s, ZERO)
-                val = prev + c
-                if val:
-                    fwd[s] = val
+    for a in range(n):
+        x, row = syms[a], table[a]
+        if row[a]:
+            violations.append(f"[{x},{x}] != 0")
+        for b in range(a + 1, n):
+            fwd = {k: (re, im) for k, re, im in row[b]}
+            for k, re, im in table[b][a]:
+                p = fwd.get(k)
+                if p is not None:
+                    re += p[0]
+                    im += p[1]
+                if re or im:
+                    fwd[k] = (re, im)
                 else:
-                    fwd.pop(s, None)
-            report.pairs_checked += 1
+                    fwd.pop(k, None)
             if fwd:
-                report.violations.append(f"[{x},{y}] + [{y},{x}] != 0")
+                y = syms[b]
+                violations.append(f"[{x},{y}] + [{y},{x}] != 0")
+    report.pairs_checked = n * (n - 1) // 2
     # cyclic Jacobi sum on unordered triples of distinct symbols
-    cache: dict[tuple[BasisSymbol, BasisSymbol], BracketTerms] = {}
-
-    def cached(u: BasisSymbol, v: BasisSymbol) -> BracketTerms:
-        key = (u, v)
-        hit = cache.get(key)
-        if hit is None:
-            hit = bp(u, v)
-            cache[key] = hit
-        return hit
-
-    nsyms = len(syms)
-    for a in range(nsyms):
-        x = syms[a]
-        for b in range(a + 1, nsyms):
-            y = syms[b]
-            pxy = cached(x, y)
-            for c_idx in range(b + 1, nsyms):
-                z = syms[c_idx]
-                acc: dict[BasisSymbol, GaussianRational] = {}
-                for inner, terms2 in ((pxy, z), (cached(y, z), x), (cached(z, x), y)):
-                    for s, cs in inner:
-                        for s2, cs2 in bp(s, terms2):
-                            prev = acc.get(s2)
-                            val = cs * cs2 if prev is None else prev + cs * cs2
-                            if val:
-                                acc[s2] = val
-                            else:
-                                acc.pop(s2, None)
-                report.triples_checked += 1
-                if acc:
-                    report.violations.append(
-                        f"jacobi({x},{y},{z}) = "
-                        + str(AlgebraElement._raw(algebra, acc))
+    den2 = den * den
+    for a in range(n):
+        ra = table[a]
+        for b in range(a + 1, n):
+            rb = table[b]
+            xy = ra[b]
+            for c in range(b + 1, n):
+                acc: dict[int, tuple[int, int]] = {}
+                for inner, z in ((xy, c), (rb[c], a), (table[c][a], b)):
+                    for s, re1, im1 in inner:
+                        for t, re2, im2 in table[s][z]:
+                            re = re1 * re2 - im1 * im2
+                            im = re1 * im2 + im1 * re2
+                            p = acc.get(t)
+                            if p is not None:
+                                re += p[0]
+                                im += p[1]
+                            acc[t] = (re, im)
+                nonzero = {
+                    symbols[t]: GaussianRational._make(re, im, den2)
+                    for t, (re, im) in acc.items()
+                    if re or im
+                }
+                if nonzero:
+                    violations.append(
+                        f"jacobi({syms[a]},{syms[b]},{syms[c]}) = "
+                        + str(AlgebraElement._raw(algebra, nonzero))
                     )
+    report.triples_checked = n * (n - 1) * (n - 2) // 6
     return report
 
 

@@ -603,7 +603,13 @@ class CompositionReport:
 def composition_series_check(
     lam, mu, box: IndexBox = IndexBox((-2, 2), (-2, 2)), max_degree: int = 4
 ) -> CompositionReport:
-    """Verify the full submodule chain picture for the alpha = 0 loop module."""
+    """Verify the full submodule chain picture for the alpha = 0 loop module.
+
+    The test vectors are t, .., t^max_degree, so max_degree must be >= 1:
+    with none, the invariance and intertwiner facts would pass vacuously.
+    """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
     lam, mu = scalar(lam), scalar(mu)
     spec0 = OmegaLoop(lam, mu, 0)
     spec1 = OmegaLoop(lam, mu, 1)

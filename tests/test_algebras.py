@@ -12,6 +12,7 @@ from cartanfree import (
     IndexBox,
     L,
     LOOP,
+    LoopVirasoro,
     VIRASORO,
     bracket_basis,
     centrality_check,
@@ -168,6 +169,20 @@ class TestJacobi:
     def test_gaussian_q(self):
         report = jacobi_check(BlockHat(scalar("1+1i")), IndexBox((-1, 1), (0, 1)))
         assert report.ok
+
+    def test_brackets_evaluated_counts_bracket_pairs_calls(self):
+        calls = []
+
+        class CountingLoop(LoopVirasoro):
+            def bracket_pairs(self, x, y):
+                calls.append((x, y))
+                return super().bracket_pairs(x, y)
+
+        report = jacobi_check(CountingLoop(), IndexBox((-2, 2), (-2, 2)))
+        assert report.ok
+        # once per pair: 72 symbols with a row (30 in the box, 42 reached) x 30
+        assert report.brackets_evaluated == len(calls) == len(set(calls)) == 72 * 30
+        assert report.as_dict()["brackets_evaluated"] == len(calls)
 
 
 class TestCentrality:

@@ -172,6 +172,12 @@ class TestCompositionSeries:
         assert lhs == parse_polynomial("3*t - 3") == spec1.act_basis(L(1, 1), P_ONE)
 
 
+    @pytest.mark.parametrize("max_degree", [0, -3])
+    def test_no_test_vectors_is_rejected(self, max_degree):
+        # with no t^k to check, invariance and the intertwiner pass vacuously
+        with pytest.raises(ValueError, match="max_degree must be >= 1"):
+            composition_series_check(2, 3, IndexBox((-1, 1), (-1, 1)), max_degree)
+
     def test_unexpected_strip_error_propagates(self, monkeypatch):
         # only NotInSubmoduleError means "left the submodule"; a bug must surface
         import cartanfree.analysis as analysis

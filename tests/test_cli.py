@@ -84,13 +84,25 @@ class TestChecks:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("max_degree", ["0", "-3"])
+    def test_composition_without_test_vectors_is_usage_error(self, capsys, max_degree):
+        code, out, err = run(
+            capsys, "check", "composition", "--lambda", "2", "--mu", "3",
+            "--max-degree", max_degree,
+        )
+        assert (code, out, err) == (2, "", "error: max_degree must be >= 1\n")
+
     def test_jacobi_json_matches_human_verdict(self, capsys):
         code, out, _ = run(capsys, "check", "jacobi", "--algebra", "loop", "--box", "2", "--json")
         assert code == 0
         body = json.loads(out)
         assert body["check"] == "jacobi" and body["ok"] is True
+        # one bracket_pairs call per table entry: 72 rows (the 30 box
+        # symbols and 42 more that in-box brackets reach) x 30 box symbols
+        assert body["brackets_evaluated"] == 72 * 30
         code, out, _ = run(capsys, "check", "jacobi", "--algebra", "loop", "--box", "2")
         assert code == 0 and "PASS" in out
+        assert out == "jacobi loop box i=-2..2,j=-2..2: 435 pairs, 4060 triples -> PASS\n"
 
     def test_module_axioms(self, capsys):
         code, out, _ = run(
