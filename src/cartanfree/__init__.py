@@ -40,14 +40,12 @@ from .algebras import (
     algebra_from_name,
     bracket_basis,
     centrality_check,
-    exclusion_violations,
     jacobi_check,
     parse_box,
     parse_element,
-    reset_exclusion_violations,
     virasoro_embedding_check,
 )
-from .linalg import SpanBasis, VectorWindow, poly_to_vector
+from .linalg import SpanBasis, VectorWindow
 from .modules import (
     ActionTable,
     Derivation,

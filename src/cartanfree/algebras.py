@@ -62,8 +62,6 @@ __all__ = [
     "jacobi_check",
     "centrality_check",
     "virasoro_embedding_check",
-    "exclusion_violations",
-    "reset_exclusion_violations",
 ]
 
 
@@ -184,25 +182,6 @@ def parse_box(text: str, names: Sequence[str] = ("i", "j")) -> IndexBox:
     return IndexBox(first, second)
 
 
-# ---------------------------------------------------------------------------
-# Exclusion bookkeeping for the derived Block algebras: the structure
-# constants never produce the omitted symbol L(0, -2q); every bracket
-# evaluation asserts this and any violation (impossible unless the bracket
-# formula itself is wrong) is counted here.
-# ---------------------------------------------------------------------------
-
-_exclusion_violations = 0
-
-
-def exclusion_violations() -> int:
-    return _exclusion_violations
-
-
-def reset_exclusion_violations() -> None:
-    global _exclusion_violations
-    _exclusion_violations = 0
-
-
 BracketTerms = tuple[tuple[BasisSymbol, GaussianRational], ...]
 
 
@@ -257,7 +236,7 @@ class Algebra:
     def _validate_l(self, sym: BasisSymbol) -> None:
         pass
 
-    def symbols_in_box(self, box: IndexBox, include_central: bool = True) -> list[BasisSymbol]:
+    def symbols_in_box(self, box: IndexBox) -> list[BasisSymbol]:
         raise NotImplementedError
 
     def declared_central(self, box: IndexBox) -> list[BasisSymbol]:
@@ -291,11 +270,8 @@ class Virasoro(Algebra):
     l_arity = 1
     c_arity = 0
 
-    def symbols_in_box(self, box: IndexBox, include_central: bool = True) -> list[BasisSymbol]:
-        syms = [L(i) for i in range(box.first[0], box.first[1] + 1)]
-        if include_central:
-            syms.append(C())
-        return syms
+    def symbols_in_box(self, box: IndexBox) -> list[BasisSymbol]:
+        return [L(i) for i in range(box.first[0], box.first[1] + 1)] + [C()]
 
     def declared_central(self, box: IndexBox) -> list[BasisSymbol]:
         return [C()]
@@ -318,15 +294,14 @@ class LoopVirasoro(Algebra):
     l_arity = 2
     c_arity = 1
 
-    def symbols_in_box(self, box: IndexBox, include_central: bool = True) -> list[BasisSymbol]:
+    def symbols_in_box(self, box: IndexBox) -> list[BasisSymbol]:
         second = box.second if box.second is not None else box.first
         syms = [
             L(i, j)
             for i in range(box.first[0], box.first[1] + 1)
             for j in range(second[0], second[1] + 1)
         ]
-        if include_central:
-            syms.extend(C(j) for j in range(second[0], second[1] + 1))
+        syms.extend(C(j) for j in range(second[0], second[1] + 1))
         return syms
 
     def declared_central(self, box: IndexBox) -> list[BasisSymbol]:
@@ -346,16 +321,32 @@ class LoopVirasoro(Algebra):
 
 
 class _BlockBase(Algebra):
-    """Common machinery for the Block-type brackets (coefficient n(i+q) - m(j+q))."""
+    """The Block-type bracket [L(m,i), L(n,j)] = (n(i+q) - m(j+q)) L(m+n,i+j) + central term.
+
+    When ``derived`` is set (Block, BlockTrunc) and -2q is a positive
+    integer, the basis omits L(0, -2q), held in ``excluded`` (else None).
+    The structure constants never produce it: for m + n = 0 and
+    i + j = -2q the coefficient collapses to n(i + j + 2q) = 0.
+    ``bracket_pairs`` asserts this on every evaluation, and a coefficient
+    landing on that symbol raises ExcludedSymbolError (the structure
+    constants are broken).  A truncation keeps the second indices
+    k <= i <= l (``l`` is None when untruncated).
+    """
 
     index_names = ("m", "i")
     l_arity = 2
+    derived = True
+    l: int | None = None
 
     def __init__(self, q: ScalarLike):
         q = scalar(q)
         if not q:
             raise ValueError("Block-type algebras require q != 0")
         self.q = q
+        neg2q = (-(q.mul_int(2))).as_int()
+        self.excluded: BasisSymbol | None = (
+            L(0, neg2q) if self.derived and neg2q is not None and neg2q >= 1 else None
+        )
 
     def _key(self) -> tuple:
         return (type(self), self.q)
@@ -367,45 +358,38 @@ class _BlockBase(Algebra):
         return f"{self.name}(q={self.q})"
 
     def _validate_l(self, sym: BasisSymbol) -> None:
+        if self.l is not None and not (self.k <= sym[2] <= self.l):
+            raise TruncationRangeError(
+                f"{self.describe()}: second index of {sym} outside [{self.k}, {self.l}]"
+            )
         if sym[2] < 0:
             raise NegativeSecondIndexError(
                 f"{self.describe()}: second index must be >= 0, got {sym}"
+            )
+        if sym == self.excluded:
+            raise ExcludedSymbolError(
+                f"{sym} is excluded in {self.describe()} since -2q = "
+                f"{sym[2]} is a positive integer"
             )
 
     def _coeff(self, m: int, i: int, n: int, j: int) -> GaussianRational:
         # n(i+q) - m(j+q) = (n*i - m*j) + (n - m) q
         return self.q.mul_int(n - m) + GaussianRational.from_int(n * i - m * j)
 
-    def _l_bracket(self, x: BasisSymbol, y: BasisSymbol) -> BracketTerms:
-        m, i, n, j = x[1], x[2], y[1], y[2]
-        out = []
-        c = self._coeff(m, i, n, j)
-        if c:
-            out.append((L(m + n, i + j), c))
-        if m + n == 0 and i == 0 and j == 0 and m * m > 1:
-            out.append((C(), GaussianRational._make(m**3 - m, 0, 12)))
-        return tuple(out)
-
-    def symbols_in_box(self, box: IndexBox, include_central: bool = True) -> list[BasisSymbol]:
+    def symbols_in_box(self, box: IndexBox) -> list[BasisSymbol]:
         second = box.second if box.second is not None else box.first
-        lo = max(0, second[0])
         syms = []
         for m in range(box.first[0], box.first[1] + 1):
-            for i in range(lo, second[1] + 1):
+            for i in range(max(0, second[0]), second[1] + 1):
                 s = L(m, i)
                 try:
-                    self.validate_symbol(s)
+                    self.validate_symbol(s)  # skips L(0, -2q) and, truncated, i outside [k, l]
                 except ExcludedSymbolError:
                     continue
                 syms.append(s)
-        if include_central and self.c_arity is not None:
+        if self.c_arity is not None:
             syms.append(C())
         return syms
-
-
-class BlockHat(_BlockBase):
-    name = "block-hat"
-    c_arity = 0
 
     def declared_central(self, box: IndexBox) -> list[BasisSymbol]:
         out = [C()]
@@ -417,51 +401,33 @@ class BlockHat(_BlockBase):
     def bracket_pairs(self, x: BasisSymbol, y: BasisSymbol) -> BracketTerms:
         if x[0] == "C" or y[0] == "C":
             return ()
-        return self._l_bracket(x, y)
+        m, i, n, j = x[1], x[2], y[1], y[2]
+        if self.l is not None and i + j > self.l:
+            return ()  # high second indices die in the truncated quotient
+        out = []
+        c = self._coeff(m, i, n, j)
+        if c:
+            s = L(m + n, i + j)
+            if s == self.excluded:
+                raise ExcludedSymbolError(
+                    f"bracket [{x},{y}] produced excluded symbol {s} "
+                    f"with coefficient {c}; the structure constants are broken"
+                )
+            out.append((s, c))
+        if m + n == 0 and i == 0 and j == 0 and m * m > 1 and self.c_arity is not None:
+            out.append((C(), GaussianRational._make(m**3 - m, 0, 12)))
+        return tuple(out)
+
+
+class BlockHat(_BlockBase):
+    name = "block-hat"
+    derived = False
 
 
 class Block(_BlockBase):
     """Derived subalgebra: omits L(0, -2q) when -2q is a positive integer."""
 
     name = "block"
-    c_arity = 0
-
-    def __init__(self, q: ScalarLike):
-        super().__init__(q)
-        neg2q = (-(self.q.mul_int(2))).as_int()
-        self.excluded: BasisSymbol | None = (
-            L(0, neg2q) if neg2q is not None and neg2q >= 1 else None
-        )
-
-    def _validate_l(self, sym: BasisSymbol) -> None:
-        super()._validate_l(sym)
-        if self.excluded is not None and sym == self.excluded:
-            raise ExcludedSymbolError(
-                f"{sym} is excluded in {self.describe()} since -2q = "
-                f"{self.excluded[2]} is a positive integer"
-            )
-
-    def declared_central(self, box: IndexBox) -> list[BasisSymbol]:
-        out = [C()]
-        neg_q = (-self.q).as_int()
-        if neg_q is not None and neg_q >= 1:
-            out.append(L(0, neg_q))
-        return out
-
-    def bracket_pairs(self, x: BasisSymbol, y: BasisSymbol) -> BracketTerms:
-        if x[0] == "C" or y[0] == "C":
-            return ()
-        out = self._l_bracket(x, y)
-        if self.excluded is not None:
-            for s, c in out:
-                if s == self.excluded and c:
-                    global _exclusion_violations
-                    _exclusion_violations += 1
-                    raise ExcludedSymbolError(
-                        f"bracket [{x},{y}] produced excluded symbol {s} "
-                        f"with coefficient {c}; the structure constants are broken"
-                    )
-        return out
 
 
 class BlockTrunc(_BlockBase):
@@ -476,10 +442,6 @@ class BlockTrunc(_BlockBase):
             raise ValueError("truncation needs 0 <= k <= l")
         self.k = k
         self.l = l
-        neg2q = (-(self.q.mul_int(2))).as_int()
-        self.excluded: BasisSymbol | None = (
-            L(0, neg2q) if neg2q is not None and neg2q >= 1 else None
-        )
 
     def _key(self) -> tuple:
         return (type(self), self.q, self.k, self.l)
@@ -490,48 +452,8 @@ class BlockTrunc(_BlockBase):
     def describe(self) -> str:
         return f"{self.name}(q={self.q},k={self.k},l={self.l})"
 
-    def _validate_l(self, sym: BasisSymbol) -> None:
-        if not (self.k <= sym[2] <= self.l):
-            raise TruncationRangeError(
-                f"{self.describe()}: second index of {sym} outside [{self.k}, {self.l}]"
-            )
-        if self.excluded is not None and sym == self.excluded:
-            raise ExcludedSymbolError(
-                f"{sym} is excluded in {self.describe()} since -2q = "
-                f"{self.excluded[2]} is a positive integer"
-            )
-
     def declared_central(self, box: IndexBox) -> list[BasisSymbol]:
         return []
-
-    def symbols_in_box(self, box: IndexBox, include_central: bool = True) -> list[BasisSymbol]:
-        second = box.second if box.second is not None else box.first
-        lo = max(self.k, second[0])
-        hi = min(self.l, second[1])
-        syms = []
-        for m in range(box.first[0], box.first[1] + 1):
-            for i in range(lo, hi + 1):
-                s = L(m, i)
-                try:
-                    self.validate_symbol(s)
-                except ExcludedSymbolError:
-                    continue
-                syms.append(s)
-        return syms
-
-    def bracket_pairs(self, x: BasisSymbol, y: BasisSymbol) -> BracketTerms:
-        out = []
-        for s, c in self._l_bracket(x, y):
-            if s[0] != "L" or s[2] > self.l:
-                continue  # central term and high second indices die in the quotient
-            if self.excluded is not None and s == self.excluded and c:
-                global _exclusion_violations
-                _exclusion_violations += 1
-                raise ExcludedSymbolError(
-                    f"bracket [{x},{y}] produced excluded symbol {s}"
-                )
-            out.append((s, c))
-        return tuple(out)
 
 
 VIRASORO = Virasoro()

@@ -6,7 +6,7 @@ The probes work inside a finite window: a box of algebra generators and a
 degree cap D on polynomial vectors.  Action images that leave the window
 are discarded (never truncated), so a computed closure is always a
 subspace of the true submodule intersected with the window (the window,
-not the global polynomial degree cap, also bounds a probe's arithmetic).
+not the polynomial DEGREE_CAP, also bounds a probe's arithmetic).
 Consequently
 
 * ``FillsWindow`` is affirmative evidence for simplicity at that window,
@@ -52,7 +52,7 @@ from .modules import (
     derive_parameters,
     strip_t,
 )
-from .polynomials import MultiPolynomial, P_ONE, Polynomial, T, monomial, parse_polynomial
+from .polynomials import P_ONE, Polynomial, T, monomial, parse_polynomial
 from .scalars import GaussianRational, I, ONE, ZERO, scalar
 
 __all__ = [
@@ -172,78 +172,23 @@ class ProbeVerdict:
         )
 
 
-class _WindowPair:
-    """The probe window plus a one-degree-larger staging window.
-
-    Action images of window vectors are collected in the staging window
-    (one extra degree per variable always suffices, because every action
-    raises at most one slot's degree by one).  Staging coordinates are
-    permuted so all outside-the-window monomials come first: in a reduced
-    row-echelon span, the rows whose pivot lies in the inside region then
-    have zero outside part, so they form an exact basis of
-
-        span(collected images)  intersect  window.
-
-    Keeping that intersection, rather than only the raw images that happen
-    to fit, matters: a raw image is a sum over tensor slots and one slot
-    can overflow while a linear combination of images (an action of a
-    combination of box generators, hence still a submodule member) stays
-    inside.  Every vector the closure keeps is an exact submodule member,
-    so a filled window still never overclaims.
-    """
-
-    def __init__(self, nvars: int, max_degree: int):
-        self.nvars = nvars
-        self.window = VectorWindow(max_degree, nvars)
-        self.ext = VectorWindow(max_degree + 1, nvars)
-        ext_monos = list(self.ext._monomials)
-        self.win_monos = list(self.window._monomials)
-        inside = set(self.win_monos)
-        outside = [e for e in ext_monos if e not in inside]
-        self.n_outside = len(outside)
-        self.ext_dim = len(outside) + len(self.win_monos)
-        self._pos = {e: k for k, e in enumerate(outside + self.win_monos)}
-
-    def ext_vector(self, f) -> list:
-        v = [ZERO] * self.ext_dim
-        if self.nvars == 1:
-            if isinstance(f, MultiPolynomial):
-                f = f.to_polynomial()
-            for k, c in enumerate(f.coeffs):
-                v[self._pos[(k,)]] = c
-        else:
-            if isinstance(f, Polynomial):
-                f = MultiPolynomial.from_polynomial(f, self.nvars)
-            for e, c in f.terms.items():
-                v[self._pos[e]] = c
-        return v
-
-    def window_poly(self, tail: list):
-        """Rebuild the polynomial of an inside-region row tail; the window bounds its degree."""
-        if self.nvars == 1:
-            n = len(tail)
-            while n and not tail[n - 1]:
-                n -= 1
-            return Polynomial._raw(tuple(tail[:n]))
-        return MultiPolynomial._raw(
-            self.nvars, {e: c for e, c in zip(self.win_monos, tail) if c}
-        )
-
-
 def _closure(
     seed,
     gens: Sequence[BasisSymbol],
     act: Callable[[BasisSymbol, object], object],
-    wp: _WindowPair,
+    window: VectorWindow,
     max_rounds: int | None,
 ) -> SpanBasis:
     """Window closure of span{seed} under the actions of gens.
 
-    Images are staged in the extended window; after each round the part of
-    their cumulative span that lies inside the probe window is folded into
-    the closure, and genuinely new directions feed the next round.  Because
-    the action is linear, images of the recorded spanning vectors generate
-    the images of the whole closure, so the loop reaches a true fixpoint.
+    Images are staged in the window's one-degree-larger staging layout
+    (``VectorWindow.ext_vector``); after each round the part of their
+    cumulative span that lies inside the window is folded into the
+    closure, and genuinely new directions feed the next round.  Every
+    vector the closure keeps is an exact submodule member, so a filled
+    window never overclaims.  Because the action is linear, images of the
+    recorded spanning vectors generate the images of the whole closure,
+    so the loop reaches a true fixpoint.
 
     gens need only span the operators of the box generators (see
     ``ModuleSpec.spanning_symbols``): every other generator's image of a
@@ -254,13 +199,13 @@ def _closure(
     clears a new pivot column, whose pivot lies after the old row's), so
     the folded span is the same as folding every row.
     """
-    main = SpanBasis(wp.window.dim)
-    main.insert(wp.window.vector_of(seed))
-    staged = SpanBasis(wp.ext_dim)
+    main = SpanBasis(window.dim)
+    main.insert(window.vector_of(seed))
+    staged = SpanBasis(window.ext_dim)
     frontier = [seed]
     rounds = 0
-    budget = max_rounds if max_rounds is not None else wp.window.dim + 2
-    while frontier and main.rank < wp.window.dim:
+    budget = max_rounds if max_rounds is not None else window.dim + 2
+    while frontier and main.rank < window.dim:
         rounds += 1
         if rounds > budget:
             raise MaxRoundsExceededError(
@@ -271,15 +216,15 @@ def _closure(
             for g in gens:
                 image = act(g, f)
                 if image:
-                    staged.insert(wp.ext_vector(image))
+                    staged.insert(window.ext_vector(image))
         frontier = []
         for row, piv in zip(staged.rows, staged.pivots):
-            if piv < wp.n_outside or piv in folded:
+            if piv < window.n_outside or piv in folded:
                 continue  # reaches outside the window, or folded in an earlier round
-            tail = row[wp.n_outside:]
+            tail = row[window.n_outside:]
             if main.insert(tail):
-                frontier.append(wp.window_poly(tail))
-                if main.rank == wp.window.dim:
+                frontier.append(window.window_poly(tail))
+                if main.rank == window.dim:
                     break
     return main
 
@@ -315,7 +260,7 @@ def _certificate(spec: ModuleSpec, box: IndexBox, window: VectorWindow, closure:
     that every box generator keeps the slice: exact, but finite, so it
     certifies invariance for the box generators on the window.
     """
-    monos = window._monomials
+    monos = window.monomials
     for k in range(window.nvars):
         outside = [idx for idx, e in enumerate(monos) if not e[k]]
         if closure.rank != window.dim - len(outside):
@@ -372,14 +317,13 @@ def tensor_irreducibility_probe(
 
 def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
     """The probe body shared by both public probes."""
-    wp = _WindowPair(spec.nvars, cfg.max_degree)
-    window = wp.window
+    window = VectorWindow(cfg.max_degree, spec.nvars)
     gens = spec.spanning_symbols(spec.algebra.symbols_in_box(cfg.box))
     seed_dims: dict[str, int] = {}
     worst: SpanBasis | None = None
     for seed in cfg.seeds:
         seed = _prepare_seed(seed, window, spec)
-        basis = _closure(seed, gens, spec.act_basis, wp, cfg.max_rounds)
+        basis = _closure(seed, gens, spec.act_basis, window, cfg.max_rounds)
         seed_dims[str(seed)] = basis.rank
         if worst is None or basis.rank < worst.rank:
             worst = basis
@@ -446,6 +390,8 @@ def module_axiom_check(
     if polys is None:
         polys = DEFAULT_SEEDS
     vectors = [spec.vector(parse_polynomial(f) if isinstance(f, str) else f) for f in polys]
+    if not vectors:
+        raise ValueError("need at least one test vector")
     syms = spec.algebra.symbols_in_box(box)
     report = AxiomReport(spec.as_dict(), box, spec.algebra.index_names)
     # cache single applications: the inner x.(y.f) terms are fresh each time,
@@ -544,6 +490,8 @@ def submodule_invariance_check(
         if f.constant_term:
             raise ValueError(f"test vector {f} is not in the zero-constant-term subspace")
         vectors.append(f)
+    if not vectors:
+        raise ValueError("need at least one test vector")
     checked, escape = _sweep(spec, box, vectors)
     report = InvarianceReport(
         spec.as_dict(), box, spec.algebra.index_names, escape is None, checked
@@ -614,7 +562,7 @@ def composition_series_check(
     spec0 = OmegaLoop(lam, mu, 0)
     spec1 = OmegaLoop(lam, mu, 1)
     detail: list[str] = []
-    # t, .., t^D: max_degree, not the global degree cap, bounds them
+    # t, .., t^D: max_degree, not DEGREE_CAP, bounds them
     t_powers = [Polynomial._raw((ZERO,) * k + (ONE,)) for k in range(1, max_degree + 1)]
 
     inv = submodule_invariance_check(spec0, box, t_powers)

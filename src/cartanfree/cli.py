@@ -415,19 +415,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             handler = handlers[args.command]
         return handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (_CliError, FileNotFoundError, ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception:

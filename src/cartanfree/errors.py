@@ -40,7 +40,7 @@ class ZeroPolynomialError(ToolkitError):
 
 
 class DegreeOverflowError(ToolkitError):
-    """A polynomial exceeded the configured degree cap, or a vectorization
+    """A polynomial exceeded the constant degree cap, or a vectorization
     window; callers must discard the offending value, never truncate it."""
 
 

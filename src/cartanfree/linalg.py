@@ -7,11 +7,13 @@ membership queries are exact and canonical.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import DegreeOverflowError, DimensionMismatchError
-from .polynomials import MultiPolynomial, Polynomial, window_monomials
+from .polynomials import MultiPolynomial, Polynomial
 from .scalars import GaussianRational, ONE, ZERO
 
-__all__ = ["SpanBasis", "VectorWindow", "poly_to_vector"]
+__all__ = ["SpanBasis", "VectorWindow"]
 
 Vector = list[GaussianRational]
 
@@ -80,13 +82,36 @@ class SpanBasis:
         return all(not c for c in self._reduce(v))
 
 
+def window_monomials(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
+    """Degree-lex list of all exponent vectors with entries <= max_degree."""
+    return sorted(product(range(max_degree + 1), repeat=nvars), key=lambda e: (sum(e), e))
+
+
 class VectorWindow:
-    """Fixed monomial window used to vectorize polynomials.
+    """Fixed monomial window used to vectorize polynomials, with its staging layout.
 
     Univariate: coefficients of 1, t, ..., t^D.  Multivariate: all
-    monomials with every exponent <= D, enumerated in degree-lex order.
-    Polynomials reaching outside the window raise DegreeOverflowError;
-    callers must discard such values rather than truncate them.
+    monomials with every exponent <= D, enumerated in degree-lex order
+    (``monomials``).  Polynomials reaching outside the window raise
+    DegreeOverflowError; callers must discard such values rather than
+    truncate them.
+
+    A closure probe collects action images in a one-degree-larger staging
+    window (one extra degree per variable always suffices, because every
+    action raises at most one slot's degree by one).  ``ext_vector`` gives
+    staging coordinates, ``ext_dim`` of them, permuted so the ``n_outside``
+    outside-the-window monomials come first: in a reduced row-echelon
+    span, the rows whose pivot lies in the inside region then have zero
+    outside part, so they form an exact basis of
+
+        span(collected images)  intersect  window,
+
+    and ``window_poly`` rebuilds the polynomial of such a row's inside
+    tail.  Keeping that intersection, rather than only the raw images
+    that happen to fit, matters: a raw image is a sum over tensor slots
+    and one slot can overflow while a linear combination of images (an
+    action of a combination of box generators, hence still a submodule
+    member) stays inside.
     """
 
     def __init__(self, max_degree: int, nvars: int = 1):
@@ -96,26 +121,27 @@ class VectorWindow:
             raise ValueError("need at least one variable")
         self.max_degree = max_degree
         self.nvars = nvars
-        if nvars == 1:
-            self.dim = max_degree + 1
-            self._monomials = [(k,) for k in range(self.dim)]
-            self._index = {e: k for k, e in enumerate(self._monomials)}
-        else:
-            self._monomials = list(window_monomials(nvars, max_degree))
-            self._index = {e: k for k, e in enumerate(self._monomials)}
-            self.dim = len(self._monomials)
+        self.monomials = window_monomials(nvars, max_degree)
+        self.dim = len(self.monomials)
+        self._index = {e: k for k, e in enumerate(self.monomials)}
+        outside = [e for e in window_monomials(nvars, max_degree + 1) if e not in self._index]
+        self.n_outside = len(outside)
+        self.ext_dim = self.n_outside + self.dim
+        self._ext_index = {e: k for k, e in enumerate(outside + self.monomials)}
 
-    def vector_of(self, f: "Polynomial | MultiPolynomial") -> Vector:
+    def _coords(self, f: "Polynomial | MultiPolynomial", index: dict, degree: int) -> Vector:
+        """Coefficients of f at the positions index gives its monomials (exponents <= degree)."""
+        v = [ZERO] * len(index)
         if self.nvars == 1:
             if isinstance(f, MultiPolynomial):
                 f = f.to_polynomial()
-            if f.degree is not None and f.degree > self.max_degree:
+            try:
+                for k, c in enumerate(f.coeffs):
+                    v[index[(k,)]] = c
+            except KeyError:
                 raise DegreeOverflowError(
-                    f"degree {f.degree} exceeds window degree {self.max_degree}"
-                )
-            v = [ZERO] * self.dim
-            for k, c in enumerate(f.coeffs):
-                v[k] = c
+                    f"degree {f.degree} exceeds window degree {degree}"
+                ) from None
             return v
         if isinstance(f, Polynomial):
             f = MultiPolynomial.from_polynomial(f, self.nvars)
@@ -123,21 +149,38 @@ class VectorWindow:
             raise DimensionMismatchError(
                 f"polynomial in {f.nvars} variables, window has {self.nvars}"
             )
-        v = [ZERO] * self.dim
-        for e, c in f.terms.items():
-            idx = self._index.get(e)
-            if idx is None:
-                raise DegreeOverflowError(
-                    f"monomial exponents {e} exceed window degree {self.max_degree}"
-                )
-            v[idx] = c
+        try:
+            for e, c in f.terms.items():
+                v[index[e]] = c
+        except KeyError as exc:
+            raise DegreeOverflowError(
+                f"monomial exponents {exc.args[0]} exceed window degree {degree}"
+            ) from None
         return v
+
+    def vector_of(self, f: "Polynomial | MultiPolynomial") -> Vector:
+        return self._coords(f, self._index, self.max_degree)
+
+    def ext_vector(self, f: "Polynomial | MultiPolynomial") -> Vector:
+        """Staging coordinates of f: outside-the-window monomials first."""
+        return self._coords(f, self._ext_index, self.max_degree + 1)
+
+    def window_poly(self, tail: Vector) -> "Polynomial | MultiPolynomial":
+        """Rebuild the polynomial of an inside-region row tail; the window bounds its degree."""
+        if self.nvars == 1:
+            n = len(tail)
+            while n and not tail[n - 1]:
+                n -= 1
+            return Polynomial._raw(tuple(tail[:n]))
+        return MultiPolynomial._raw(
+            self.nvars, {e: c for e, c in zip(self.monomials, tail) if c}
+        )
 
     def monomial(self, idx: int) -> "Polynomial | MultiPolynomial":
         """The idx-th window monomial as a polynomial; the window bounds its degree."""
         if self.nvars == 1:
             return Polynomial._raw((ZERO,) * idx + (ONE,))
-        return MultiPolynomial._raw(self.nvars, {self._monomials[idx]: ONE})
+        return MultiPolynomial._raw(self.nvars, {self.monomials[idx]: ONE})
 
     def missing_monomial(self, basis: SpanBasis) -> "Polynomial | MultiPolynomial | None":
         """A window monomial outside the span (a coset witness), if any."""
@@ -147,9 +190,3 @@ class VectorWindow:
             if not basis.contains(v):
                 return self.monomial(idx)
         return None
-
-
-def poly_to_vector(f: "Polynomial | MultiPolynomial", max_degree: int) -> Vector:
-    """Coefficient vector of f in the window of the appropriate arity."""
-    nvars = f.nvars if isinstance(f, MultiPolynomial) else 1
-    return VectorWindow(max_degree, nvars).vector_of(f)

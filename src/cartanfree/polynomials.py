@@ -22,20 +22,19 @@ forms) run as loops over integer numerators with one common denominator
 and normalise each output coefficient once; coefficients stay canonical
 GaussianRationals, so == and hash remain exact.
 
-A global degree cap (default 64) bounds the inputs: polynomials built
-from coefficient lists or parsed literals (checked after like terms
-combine), and full products, which can double a degree, fail loudly
-above it.  The rank-one kernels (shift, mul_linear, scale and their
-multivariate forms) raise a degree by at most one and leave the bound to
-their callers: a probe's window bounds every vector it keeps, whatever
-the cap.
+The constant degree cap ``DEGREE_CAP`` (64, per variable) bounds the
+inputs: polynomials built from coefficient lists or parsed literals
+(checked after like terms combine), and full products, which can double
+a degree, fail loudly above it.  The rank-one kernels (shift,
+mul_linear, scale and their multivariate forms) raise a degree by at
+most one and leave the bound to their callers: a probe's window bounds
+every vector it keeps, whatever the cap.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import lcm
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import (
     DegreeOverflowError,
@@ -55,30 +54,17 @@ __all__ = [
     "shift",
     "degree_leading",
     "parse_polynomial",
-    "set_degree_cap",
-    "degree_cap",
+    "DEGREE_CAP",
 ]
 
-_degree_cap = 64
+DEGREE_CAP = 64
 _make = GaussianRational._make
 
 
-def set_degree_cap(n: int) -> None:
-    """Set the global degree cap (per variable).  Must be >= 1."""
-    global _degree_cap
-    if n < 1:
-        raise ValueError("degree cap must be at least 1")
-    _degree_cap = n
-
-
-def degree_cap() -> int:
-    return _degree_cap
-
-
 def _check_cap(deg: int) -> None:
-    if deg > _degree_cap:
+    if deg > DEGREE_CAP:
         raise DegreeOverflowError(
-            f"degree {deg} exceeds the polynomial degree cap {_degree_cap}"
+            f"degree {deg} exceeds the polynomial degree cap {DEGREE_CAP}"
         )
 
 
@@ -718,8 +704,3 @@ def parse_polynomial(text: str) -> Polynomial | MultiPolynomial:
     _check_cap(deg)  # on the combined terms: t^65 - t^65 is 0
     return Polynomial._raw(tuple(by_degree.get(k, ZERO) for k in range(deg + 1)))
 
-
-def window_monomials(nvars: int, max_degree: int) -> Iterator[tuple[int, ...]]:
-    """Degree-lex enumeration of all exponent vectors with entries <= max_degree."""
-    exps = sorted(product(range(max_degree + 1), repeat=nvars), key=lambda e: (sum(e), e))
-    return iter(exps)

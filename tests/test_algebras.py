@@ -16,11 +16,9 @@ from cartanfree import (
     VIRASORO,
     bracket_basis,
     centrality_check,
-    exclusion_violations,
     jacobi_check,
     parse_box,
     parse_element,
-    reset_exclusion_violations,
     scalar,
     virasoro_embedding_check,
 )
@@ -211,7 +209,6 @@ class TestExclusionInvariant:
     def test_coefficient_vanishes_identically(self):
         # when m + n = 0 and i + j = -2q the coefficient n(i+q) - m(j+q)
         # collapses to n(i + j + 2q) = 0, so the excluded symbol never shows up
-        reset_exclusion_violations()
         rng = random.Random(7)
         for q_str in ["-1/2", "-1", "-3/2", "-2", "-3"]:
             alg = Block(scalar(q_str))
@@ -225,7 +222,22 @@ class TestExclusionInvariant:
                 hits += 1
                 out = alg.bracket_pairs(x, y)
                 assert all(s != alg.excluded for s, _ in out)
-        assert exclusion_violations() == 0
+
+    @pytest.mark.parametrize(
+        "cls,trunc", [(Block, ()), (BlockTrunc, (0, 2))], ids=["block", "block-trunc"]
+    )
+    def test_bracket_landing_on_excluded_symbol_raises(self, cls, trunc):
+        # q = -1/2 excludes L(0,1); [L(1,0), L(-1,1)] lands there with the
+        # coefficient -1*(0 - 1/2) - 1*(1 - 1/2) = 0, which a broken _coeff makes 1
+        q = scalar("-1/2")
+
+        class Broken(cls):
+            def _coeff(self, m, i, n, j):
+                return cls._coeff(self, m, i, n, j) + scalar(1)
+
+        assert cls(q, *trunc).bracket_pairs(L(1, 0), L(-1, 1)) == ()
+        with pytest.raises(ExcludedSymbolError, match=r"produced excluded symbol L\(0,1\)"):
+            Broken(q, *trunc).bracket_pairs(L(1, 0), L(-1, 1))
 
 
 class TestElementParsing:

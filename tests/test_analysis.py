@@ -28,8 +28,8 @@ from cartanfree import (
     submodule_invariance_check,
     tensor_irreducibility_probe,
 )
-from cartanfree.analysis import _WindowPair, _closure
-from cartanfree.linalg import SpanBasis
+from cartanfree.analysis import _closure
+from cartanfree.linalg import SpanBasis, VectorWindow
 
 from conftest import oracle_rank
 
@@ -79,6 +79,11 @@ class TestModuleAxioms:
         report = module_axiom_check(Broken(2, 3, 1), IndexBox((-1, 1), (-1, 1)), (T,))
         assert not report.ok
 
+    def test_no_test_vectors_is_rejected(self):
+        # with no vector to act on, every identity would pass vacuously
+        with pytest.raises(ValueError, match="need at least one test vector"):
+            module_axiom_check(OmegaLoop(2, 3, 1), BOX2_LOOP, ())
+
 
 class TestSimplicityProbe:
     def test_loop_nonzero_alpha_fills(self):
@@ -107,19 +112,19 @@ class TestSimplicityProbe:
     def test_closure_dim_cross_checked_against_oracle(self):
         # recompute one closure's rank through the independent elimination
         spec = OmegaLoop(2, 3, 0)
-        wp = _WindowPair(1, 4)
+        window = VectorWindow(4)
         gens = spec.algebra.symbols_in_box(BOX2_LOOP)
-        basis = _closure(T, gens, spec.act_basis, wp, None)
+        basis = _closure(T, gens, spec.act_basis, window, None)
         assert oracle_rank([list(r) for r in basis.rows]) == basis.rank == 4
 
     def test_generator_order_does_not_change_verdict(self):
         spec = OmegaLoop(scalar("1/2"), scalar(2), 1)
-        wp = _WindowPair(1, 4)
+        window = VectorWindow(4)
         gens = spec.algebra.symbols_in_box(BOX2_LOOP)
         shuffled = list(gens)
         random.Random(3).shuffle(shuffled)
-        a = _closure(parse_polynomial("t^2+1"), gens, spec.act_basis, wp, None)
-        b = _closure(parse_polynomial("t^2+1"), shuffled, spec.act_basis, wp, None)
+        a = _closure(parse_polynomial("t^2+1"), gens, spec.act_basis, window, None)
+        b = _closure(parse_polynomial("t^2+1"), shuffled, spec.act_basis, window, None)
         assert a.rank == b.rank
         assert a.rows == b.rows  # reduced echelon form is canonical
 
@@ -150,6 +155,11 @@ class TestSubmoduleInvariance:
         # L(1,0) . t = 2 (t-1)^2 has constant term 2
         report = submodule_invariance_check(OmegaLoop(2, 3, 1), BOX2_LOOP, (T,))
         assert not report.invariant
+
+    def test_no_test_vectors_is_rejected(self):
+        # alpha = 1 escapes the subspace, but with no vector to act on it reported invariant
+        with pytest.raises(ValueError, match="need at least one test vector"):
+            submodule_invariance_check(OmegaLoop(2, 3, 1), BOX2_LOOP, ())
 
 
 class TestCompositionSeries:

@@ -92,6 +92,13 @@ class TestChecks:
         )
         assert (code, out, err) == (2, "", "error: max_degree must be >= 1\n")
 
+    def test_module_check_without_test_vectors_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "module", "--algebra", "loop", "--lambda", "2", "--mu", "3",
+            "--alpha", "1", "--polys", ";",
+        )
+        assert (code, out, err) == (2, "", "error: need at least one test vector\n")
+
     def test_jacobi_json_matches_human_verdict(self, capsys):
         code, out, _ = run(capsys, "check", "jacobi", "--algebra", "loop", "--box", "2", "--json")
         assert code == 0

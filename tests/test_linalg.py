@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanfree import MultiPolynomial, SpanBasis, VectorWindow, parse_polynomial, poly_to_vector, scalar
+from cartanfree import MultiPolynomial, SpanBasis, VectorWindow, parse_polynomial, scalar
 from cartanfree.errors import DegreeOverflowError, DimensionMismatchError
 from cartanfree.scalars import ZERO
 
@@ -94,14 +94,14 @@ class TestSpanBasis:
 
 class TestVectorization:
     def test_example(self):
-        assert poly_to_vector(parse_polynomial("2*t - 4"), 3) == vec(-4, 2, 0, 0)
+        assert VectorWindow(3).vector_of(parse_polynomial("2*t - 4")) == vec(-4, 2, 0, 0)
 
     def test_zero(self):
-        assert poly_to_vector(parse_polynomial("0"), 2) == vec(0, 0, 0)
+        assert VectorWindow(2).vector_of(parse_polynomial("0")) == vec(0, 0, 0)
 
     def test_overflow(self):
         with pytest.raises(DegreeOverflowError):
-            poly_to_vector(parse_polynomial("t^4"), 3)
+            VectorWindow(3).vector_of(parse_polynomial("t^4"))
 
     def test_multivariate_window(self):
         w = VectorWindow(2, 2)
@@ -117,6 +117,18 @@ class TestVectorization:
         for idx in range(w.dim):
             v = w.vector_of(w.monomial(idx))
             assert v[idx] == 1 and sum(1 for c in v if c) == 1
+
+    @pytest.mark.parametrize(
+        "nvars,D,inside,outside", [(1, 3, "2*t^3 - t + 1", "t^4"), (2, 2, "t1^2*t2 - 3", "t1^3*t2")]
+    )
+    def test_staging_layout_puts_outside_monomials_first(self, nvars, D, inside, outside):
+        w = VectorWindow(D, nvars)
+        f, g = parse_polynomial(inside), parse_polynomial(outside)
+        v = w.ext_vector(f + g)
+        assert len(v) == w.ext_dim == w.n_outside + w.dim
+        assert any(v[: w.n_outside])
+        assert v[w.n_outside :] == w.vector_of(f)
+        assert w.window_poly(v[w.n_outside :]) == f
 
     def test_missing_monomial_witness(self):
         w = VectorWindow(3, 1)

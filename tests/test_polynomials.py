@@ -17,7 +17,7 @@ from cartanfree import (
     scalar,
 )
 from cartanfree.errors import DegreeOverflowError, ParseError, ZeroPolynomialError
-from cartanfree.polynomials import degree_cap, set_degree_cap
+from cartanfree.polynomials import DEGREE_CAP
 
 from conftest import polynomials, scalars
 
@@ -115,7 +115,7 @@ class TestDegreeLeading:
 
 class TestDegreeCap:
     def test_cap_is_enforced(self):
-        assert degree_cap() == 64
+        assert DEGREE_CAP == 64
         with pytest.raises(DegreeOverflowError):
             monomial(65)
         f = monomial(40)
@@ -128,13 +128,6 @@ class TestDegreeCap:
         assert parse_polynomial("t^70 + t - t^70") == T
         with pytest.raises(DegreeOverflowError):
             parse_polynomial("t^65 + t - t")
-
-    def test_cap_is_configurable(self):
-        set_degree_cap(100)
-        try:
-            monomial(80)
-        finally:
-            set_degree_cap(64)
 
 
 class TestParsing:

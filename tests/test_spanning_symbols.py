@@ -21,7 +21,7 @@ from cartanfree import (
     parse_polynomial,
     scalar,
 )
-from cartanfree.analysis import _WindowPair, _closure
+from cartanfree.analysis import _closure
 from cartanfree.linalg import SpanBasis, VectorWindow
 
 BOX2_LOOP = IndexBox((-2, 2), (-2, 2))
@@ -59,11 +59,11 @@ def _split(spec, box):
 def test_closure_under_subset_equals_closure_under_all(label, spec, box, D, seeds):
     syms, kept = _split(spec, box)
     assert len(kept) < len(syms)
-    wp = _WindowPair(spec.nvars, D)
+    window = VectorWindow(D, spec.nvars)
     for text in seeds:
         seed = spec.vector(parse_polynomial(text))
-        full = _closure(seed, syms, spec.act_basis, wp, None)
-        sub = _closure(seed, kept, spec.act_basis, wp, None)
+        full = _closure(seed, syms, spec.act_basis, window, None)
+        sub = _closure(seed, kept, spec.act_basis, window, None)
         assert sub.rows == full.rows
         assert sub.pivots == full.pivots
 
