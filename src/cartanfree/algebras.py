@@ -8,8 +8,10 @@
                             L(0, -2q) whenever -2q is a positive integer (the bracket coefficient
                             landing on that symbol vanishes identically, which the implementation
                             asserts on every evaluation)
-* ``BlockTrunc(q, k, l)``   the centerless subquotient spanned by L(m,i) with k <= i <= l; bracket
-                            terms with second index above l are discarded
+* ``BlockTrunc(q, k, l)``   the subquotient spanned by L(m,i) with k <= i <= l, without C; bracket
+                            terms with second index above l are discarded; not centerless: its
+                            centre holds L(0,-q) when -q is a positive integer in [k, l], the
+                            rows L(m,i) with i > l - k, and more at q = -k, l = 2k
 
 Throughout, "positive integer" means {1, 2, 3, ...} and second indices of
 Block-type symbols live in {0, 1, 2, ...}.
@@ -431,7 +433,10 @@ class Block(_BlockBase):
 
 
 class BlockTrunc(_BlockBase):
-    """Subquotient spanned by L(m, i) with k <= i <= l; centerless."""
+    """Subquotient spanned by L(m, i) with k <= i <= l, without the central C.
+
+    It is not centerless: see ``declared_central``.
+    """
 
     name = "block-trunc"
     c_arity = None
@@ -453,7 +458,25 @@ class BlockTrunc(_BlockBase):
         return f"{self.name}(q={self.q},k={self.k},l={self.l})"
 
     def declared_central(self, box: IndexBox) -> list[BasisSymbol]:
-        return []
+        """L(0, -q) when -q is a positive integer in [k, l], and every central symbol of the box.
+
+        [L(m,i), L(n,j)] = (n(i+q) - m(j+q)) L(m+n,i+j) survives only for
+        j in [k, l - i].  L(m,i) is central when that range is empty (the
+        rows i > l - k); otherwise the coefficient must vanish for every n,
+        so i = -q, and m(j+q) = 0 on the range.  The bracket is homogeneous
+        in both indices, so the centre is spanned by basis symbols.
+        """
+        q = self.q
+
+        def central(m: int, i: int) -> bool:
+            js = range(self.k, self.l - i + 1)
+            return not js or (q == -i and (m == 0 or all(q == -j for j in js)))
+
+        out = [s for s in self.symbols_in_box(box) if central(s[1], s[2])]
+        neg_q = (-q).as_int()
+        if neg_q is not None and self.k <= neg_q <= self.l and L(0, neg_q) not in out:
+            out.insert(0, L(0, neg_q))
+        return out
 
 
 VIRASORO = Virasoro()

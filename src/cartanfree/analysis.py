@@ -233,7 +233,7 @@ def _escapes(image, k: int) -> bool:
     """Does image leave the t_k-multiples (for one variable: have a constant term)?"""
     if isinstance(image, Polynomial):
         return bool(image.constant_term)
-    return any(e[k] == 0 for e in image.terms)
+    return any(e[k] == 0 for e in image.exponents())
 
 
 def _sweep(spec: ModuleSpec, box: IndexBox, vectors: Sequence, k: int = 0):
@@ -563,7 +563,7 @@ def composition_series_check(
     spec1 = OmegaLoop(lam, mu, 1)
     detail: list[str] = []
     # t, .., t^D: max_degree, not DEGREE_CAP, bounds them
-    t_powers = [Polynomial._raw((ZERO,) * k + (ONE,)) for k in range(1, max_degree + 1)]
+    t_powers = [Polynomial._from_scalars((ZERO,) * k + (ONE,)) for k in range(1, max_degree + 1)]
 
     inv = submodule_invariance_check(spec0, box, t_powers)
     if not inv.ok:

@@ -168,19 +168,14 @@ class VectorWindow:
     def window_poly(self, tail: Vector) -> "Polynomial | MultiPolynomial":
         """Rebuild the polynomial of an inside-region row tail; the window bounds its degree."""
         if self.nvars == 1:
-            n = len(tail)
-            while n and not tail[n - 1]:
-                n -= 1
-            return Polynomial._raw(tuple(tail[:n]))
-        return MultiPolynomial._raw(
-            self.nvars, {e: c for e, c in zip(self.monomials, tail) if c}
-        )
+            return Polynomial._from_scalars(tail)
+        return MultiPolynomial._from_scalars(self.nvars, dict(zip(self.monomials, tail)))
 
     def monomial(self, idx: int) -> "Polynomial | MultiPolynomial":
         """The idx-th window monomial as a polynomial; the window bounds its degree."""
         if self.nvars == 1:
-            return Polynomial._raw((ZERO,) * idx + (ONE,))
-        return MultiPolynomial._raw(self.nvars, {self.monomials[idx]: ONE})
+            return Polynomial._from_scalars((ZERO,) * idx + (ONE,))
+        return MultiPolynomial._from_scalars(self.nvars, {self.monomials[idx]: ONE})
 
     def missing_monomial(self, basis: SpanBasis) -> "Polynomial | MultiPolynomial | None":
         """A window monomial outside the span (a coset witness), if any."""

@@ -63,6 +63,7 @@ from .polynomials import (
     Polynomial,
     constant,
     parse_polynomial,
+    rank_one_rule,
 )
 from .scalars import GaussianRational, ONE, ZERO, ScalarLike, scalar
 
@@ -87,9 +88,14 @@ class ModuleSpec:
 
     A rank-one family is fixed by its entries x . 1: ``act_basis`` applies
     the one rule x . f(t) = f(t - s_x) * (x . 1).  A family defines
-    ``entry`` and ``params``; the rule is factored once per symbol as
-    (shift, root, lead) with x . 1 = lead * (t - root), or root None when
-    x . 1 is the constant lead.
+    ``entry`` and ``params``; the rule is memoized once per symbol as
+    (shift, root, lead, kernel).  (shift, root, lead) factor it with
+    x . 1 = lead * (t - root), or root None when x . 1 is the constant lead;
+    ``spanning_symbols`` compares them.  kernel keeps s_x and x . 1 as
+    integer numerators (``polynomials.rank_one_rule``), and ``act_basis``
+    runs it as one fused integer pass, a Taylor shift, a multiply by the
+    degree-<=1 entry and one canonicalisation, with no scalar objects in
+    between.  ``TensorOmega`` runs the same kernel in each tensor slot.
     """
 
     family: str = ""
@@ -105,31 +111,29 @@ class ModuleSpec:
         raise NotImplementedError
 
     def _rule(self, sym: BasisSymbol) -> tuple:
-        """(shift, root, lead) of sym, validated and factored on first use; () acts as 0."""
+        """(shift, root, lead, kernel) of sym, validated and factored on first use; () acts as 0."""
         rule = self._rules.get(sym)
         if rule is None:
             self.algebra.validate_symbol(sym)
             e = self.entry(sym)
             if not e:
                 rule = ()
-            elif e.degree == 0:
-                rule = (_shift_amount(self.algebra, sym), None, e.constant_term)
             else:
-                lead, root = _read_linear(e, str(sym))
-                rule = (_shift_amount(self.algebra, sym), root, lead)
+                shift = _shift_amount(self.algebra, sym)
+                if e.degree == 0:
+                    root, lead = None, e.constant_term
+                else:
+                    lead, root = _read_linear(e, str(sym))
+                rule = (shift, root, lead, rank_one_rule(shift, e))
             self._rules[sym] = rule
         return rule
 
     def act_basis(self, sym: BasisSymbol, f):
-        """Image of f under a basis symbol (exact): f(t - s_x) * (x . 1)."""
+        """Image of f under a basis symbol (exact): f(t - s_x) * (x . 1), in one integer pass."""
         rule = self._rule(sym)
         if not rule:
             return P_ZERO
-        shift, root, lead = rule
-        g = f.shift(shift)
-        if root is not None:
-            g = g.mul_linear(root)
-        return g.scale(lead)
+        return f.apply_rank_one(rule[3])
 
     def _slots(self) -> Sequence["ModuleSpec"]:
         """The specs whose rules act on the tensor slots, in slot order."""
@@ -359,8 +363,7 @@ class TensorOmega(ModuleSpec):
         if isinstance(f, Polynomial):
             return MultiPolynomial.from_polynomial(f, self.nvars)
         if f.nvars < self.nvars:
-            pad = (0,) * (self.nvars - f.nvars)
-            return MultiPolynomial._raw(self.nvars, {e + pad: c for e, c in f.terms.items()})
+            return f.padded(self.nvars)
         if f.nvars != self.nvars:
             raise KindMismatchError(
                 f"vector in {f.nvars} variables for a {self.nvars}-factor tensor module"
@@ -369,13 +372,8 @@ class TensorOmega(ModuleSpec):
 
     def act_basis(self, sym: BasisSymbol, f: MultiPolynomial) -> MultiPolynomial:
         f = self.vector(f)
-        acc = MultiPolynomial(self.nvars)
-        for k, factor in enumerate(self.factors):
-            rule = factor._rule(sym)
-            if rule:
-                shift, root, lead = rule
-                acc = acc + f.shift_var(k, shift).mul_linear_var(k, root).scale(lead)
-        return acc
+        rules = [(k, factor._rule(sym)) for k, factor in enumerate(self.factors)]
+        return f.apply_rank_one([(k, rule[3]) for k, rule in rules if rule])
 
 
 # ---------------------------------------------------------------------------
@@ -687,4 +685,4 @@ def strip_t(g: Polynomial) -> Polynomial:
         raise NotInSubmoduleError(
             f"{g} has nonzero constant term, so it is not a multiple of t"
         )
-    return Polynomial._raw(g.coeffs[1:])
+    return Polynomial._from_scalars(g.coeffs[1:])

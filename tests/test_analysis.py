@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from cartanfree import (
     BlockHat,
+    BlockTrunc,
     C,
     IndexBox,
     L,
@@ -18,7 +20,9 @@ from cartanfree import (
     TensorOmega,
     build_action_table,
     center_report,
+    centrality_check,
     composition_series_check,
+    constant,
     isomorphism_classify,
     module_axiom_check,
     monomial,
@@ -78,6 +82,24 @@ class TestModuleAxioms:
 
         report = module_axiom_check(Broken(2, 3, 1), IndexBox((-1, 1), (-1, 1)), (T,))
         assert not report.ok
+
+    def test_violation_text_is_pinned(self):
+        # a broken entry rather than a broken act_basis: the fused rule itself
+        # runs the wrong x . 1, so every message comes out of the integer path
+        class Broken(OmegaLoop):
+            def entry(self, sym):
+                e = OmegaLoop.entry(self, sym)
+                return e + constant("1/3") if sym == L(2, 1) else e
+
+        report = module_axiom_check(Broken(2, 3, 1), BOX2_LOOP, TEST_POLYS)
+        assert (len(report.violations), report.pairs_checked, report.identities_checked) == (104, 435, 1740)
+        assert report.violations[0] == "[L(-2,-2),L(2,1)].1: bracket action 8/3*t != commutator 8/3*t + 2/27"
+        assert report.violations[-1] == (
+            "[L(2,1),L(2,2)].t^3 - t = 0 but commutator gives -6*t^3 + 72*t^2 - 282*t + 360"
+        )
+        # every message, in order
+        digest = hashlib.sha256("\n".join(report.violations).encode()).hexdigest()
+        assert digest == "aec8151f86def5ee9128c226bd44667587d48322dd7edaa9ad31f1443adaba6f"
 
     def test_no_test_vectors_is_rejected(self):
         # with no vector to act on, every identity would pass vacuously
@@ -279,6 +301,26 @@ class TestCenterReport:
         report = center_report(LOOP, IndexBox((-2, 2), (-2, 2)))
         names = {name for name, central, _ in report.declared}
         assert names == {f"C({j})" for j in range(-2, 3)}
+        assert report.ok and report.extra_commuting == []
+
+    def test_truncated_block_declares_l0_minus_q(self):
+        # [L(0,1), L(n,j)] = n(-1 + q) L(n, j+1) = 0 at q = -1: central, not a window artifact
+        report = center_report(BlockTrunc(-1, 0, 2), IndexBox((-2, 2), (-2, 2)))
+        assert [name for name, _, _ in report.declared] == ["L(0,1)"]
+        assert report.ok and report.extra_commuting == []
+
+    @pytest.mark.parametrize(
+        "q,k,l",
+        [(-1, 0, 2), (-1, 0, 1), (-1, 1, 2), (-2, 1, 3), (-2, 2, 4), (1, 1, 3), ("1/2", 0, 2), (-3, 0, 2)],
+    )
+    def test_truncated_block_declares_exactly_the_central_symbols(self, q, k, l):
+        # a non-central symbol has a witness L(n, j) with |n| <= 2 and k <= j <= l
+        alg = BlockTrunc(scalar(q), k, l)
+        box, wide = IndexBox((-2, 2), (0, l)), IndexBox((-4, 4), (0, l))
+        declared = set(alg.declared_central(box))
+        for sym in alg.symbols_in_box(box):
+            assert (sym in declared) == centrality_check(alg, sym, wide).central, sym
+        report = center_report(alg, box)
         assert report.ok and report.extra_commuting == []
 
 

@@ -126,6 +126,14 @@ class TestChecks:
         assert code == 0
         assert "L(0,3)" in out and "central" in out
 
+    def test_center_of_truncated_block(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "center", "--algebra", "block-trunc", "--q=-1",
+            "--k", "0", "--l", "2", "--box", "2",
+        )
+        assert code == 0
+        assert out == "center of block-trunc(q=-1,k=0,l=2): L(0,1): central\n"
+
 
 class TestProbes:
     def test_proper_window_is_not_an_error(self, capsys):

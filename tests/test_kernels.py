@@ -1,21 +1,41 @@
 """Differential tests of the integer kernels against a Fraction-pair reference.
 
-The scalar fast paths, the common-denominator polynomial kernels (shift,
-mul_linear, scale, +, -, shift_var, mul_linear_var) and the sparse
-elimination in SpanBasis are compared with textbook arithmetic on pairs of
-Fractions written here, independent of the package.  Coefficients include
-values wider than 64 bits, zeros, and terms that cancel.
+The scalar fast paths, the integer polynomial kernels (shift, mul_linear,
+scale, +, -, shift_var, mul_linear_var and the fused rank-one action
+behind act_basis) and the sparse elimination in SpanBasis are compared
+with textbook arithmetic on pairs of Fractions written here, independent
+of the package.  Coefficients include values wider than 64 bits, zeros,
+and terms that cancel.  The integer storage of the polynomials is checked
+for its canonical form, its read-only views and the agreement of == and
+hash across construction routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanfree import GaussianRational, MultiPolynomial, Polynomial, SpanBasis, scalar
+from cartanfree import (
+    LOOP,
+    GaussianRational,
+    I,
+    IndexBox,
+    MultiPolynomial,
+    OmegaBlock,
+    OmegaBlockHV,
+    OmegaLoop,
+    OmegaVir,
+    P_ONE,
+    Polynomial,
+    SpanBasis,
+    TensorOmega,
+    VectorWindow,
+    parse_polynomial,
+    scalar,
+)
 
 CF = tuple[Fraction, Fraction]
 CF0: CF = (Fraction(0), Fraction(0))
@@ -280,3 +300,187 @@ class TestSparseElimination:
         assert basis.pivots == [next(k for k, c in enumerate(r) if c != CF0) for r in ref]
         assert basis.rows == [[GaussianRational(*x) for x in row] for row in ref]
         assert all(basis.contains(v) for v in vectors)
+
+
+# -- integer storage: canonical form, views, == and hash -------------------------
+
+
+def canonical(p: Polynomial) -> bool:
+    """(re, im, den): equal-length int tuples, no trailing zero pair, den > 0, gcd 1."""
+    re, im, den = p._re, p._im, p._den
+    if not re:
+        return im == () and den == 1
+    return (
+        type(re) is tuple
+        and type(im) is tuple
+        and len(re) == len(im)
+        and den > 0
+        and bool(re[-1] or im[-1])
+        and gcd(den, *re, *im) == 1
+    )
+
+
+def canonical_multi(f: MultiPolynomial) -> bool:
+    num, den = f._num, f._den
+    if not num:
+        return den == 1
+    pairs = list(num.values())
+    return (
+        den > 0
+        and all(len(e) == f.nvars for e in num)
+        and all(a or b for a, b in pairs)
+        and gcd(den, *[a for a, _ in pairs], *[b for _, b in pairs]) == 1
+    )
+
+
+nonzero_scalars = wide_scalars().filter(bool)
+# the paper's grid (i makes purely imaginary entries and shifts), then wide values
+parameters = st.one_of(st.sampled_from((scalar(2), scalar("1/2"), scalar(-1), I, -I)), nonzero_scalars)
+
+
+class TestPolynomialStorage:
+    @settings(deadline=None)
+    @given(coeff_lists, coeff_lists, wide_scalars())
+    def test_canonical_after_every_operation(self, xs, ys, c):
+        f, g = Polynomial(xs), Polynomial(ys)
+        results = [f, g, f + g, f - g, g - f, f * g, -f, f - f, f.scale(c), f.shift(c), f.mul_linear(c)]
+        results += [f.divide_linear(c)[0], parse_polynomial(str(f)), Polynomial(list(f.coeffs) + [0])]
+        results += [VectorWindow(8).window_poly(VectorWindow(8).vector_of(f))]
+        assert all(canonical(p) for p in results)
+
+    @given(coeff_lists)
+    def test_views_match_the_reference(self, xs):
+        f = Polynomial(xs)
+        ref = trim([cf(x) for x in xs])
+        assert same(f, ref)
+        assert type(f.coeffs) is tuple
+        assert f.degree == (len(ref) - 1 if ref else None)
+        assert bool(f) == bool(ref) == (not f.is_zero)
+        assert cf(f.constant_term) == (ref[0] if ref else CF0)
+        if ref:
+            assert cf(f.leading) == ref[-1]
+
+    @settings(deadline=None)
+    @given(coeff_lists, coeff_lists, nonzero_scalars)
+    def test_eq_and_hash_agree_across_routes(self, xs, ys, c):
+        f, g = Polynomial(xs), Polynomial(ys)
+        routes = [
+            Polynomial._raw(f._re, f._im, f._den),
+            Polynomial(list(f.coeffs) + [0, 0]),
+            parse_polynomial(str(f)),
+            (f + g) - g,
+            f.scale(c).scale(c.inverse()),
+            f.shift(c).shift(-c),
+            f.mul_linear(c).divide_linear(c)[0],
+            MultiPolynomial.from_polynomial(f).to_polynomial(),
+        ]
+        for p in routes:
+            assert p == f and hash(p) == hash(f)
+        assert f + P_ONE != f
+
+    @settings(deadline=None, max_examples=40)
+    @given(multi(3), multi(3), nonzero_scalars, st.integers(0, 2))
+    def test_multi_storage(self, f, g, c, k):
+        for p in (f, g, f + g, f - g, f * g, -f, f.scale(c), f.shift_var(k, c), f.mul_linear_var(k, c)):
+            assert canonical_multi(p)
+        assert {e: cf(x) for e, x in f.terms.items()} == {e: cf(x) for e, x in f.terms.items() if x}
+        view = f.terms
+        view.clear()  # a view: changing it leaves the polynomial alone
+        assert f.terms or f.is_zero
+        routes = [
+            MultiPolynomial(3, f.terms),
+            (f + g) - g,
+            f.scale(c).scale(c.inverse()),
+            f.shift_var(k, c).shift_var(k, -c),
+            MultiPolynomial._raw(3, dict(f._num), f._den),
+        ]
+        for p in routes:
+            assert p == f and hash(p) == hash(f)
+        assert cf(f.constant_term) == cf(f.terms.get((0, 0, 0), GaussianRational(0)))
+
+
+# -- the fused rank-one action --------------------------------------------------------
+
+
+def ref_mul(xs: list[CF], ys: list[CF]) -> list[CF]:
+    out = [CF0] * max(len(xs) + len(ys) - 1, 0)
+    for j, x in enumerate(xs):
+        for k, y in enumerate(ys):
+            out[j + k] = cf_add(out[j + k], cf_mul(x, y))
+    return trim(out)
+
+
+def shift_of(spec, sym) -> GaussianRational:
+    """s_x: m*q for the Block families, the first index otherwise; 0 for central symbols."""
+    if sym[0] == "C":
+        return scalar(0)
+    q = getattr(spec, "q", None)
+    return scalar(sym[1]) if q is None else q * sym[1]
+
+
+def composed(f, rule):
+    """The unfused rule: f(t - s), times (t - root), times lead."""
+    if not rule:
+        return Polynomial()
+    shift, root, lead = rule[:3]
+    g = f.shift(shift)
+    return (g if root is None else g.mul_linear(root)).scale(lead)
+
+
+BLOCK_Q = (scalar(2), scalar("1/2"), scalar("-3/2"), GaussianRational(Fraction(1, 2), 1))
+
+
+@st.composite
+def rank_one_specs(draw):
+    kind = draw(st.sampled_from(("vir", "loop", "block", "hv")))
+    lam, mu, alpha, beta = draw(parameters), draw(parameters), draw(wide_scalars()), draw(wide_scalars())
+    if kind == "vir":
+        return OmegaVir(lam, alpha), IndexBox((-3, 3))
+    if kind == "loop":
+        return OmegaLoop(lam, mu, alpha), IndexBox((-2, 2), (-2, 2))
+    if kind == "block":
+        return OmegaBlock(draw(st.sampled_from(BLOCK_Q)), lam, alpha), IndexBox((-3, 3), (0, 2))
+    return OmegaBlockHV(lam, alpha, beta), IndexBox((-3, 3), (0, 2))
+
+
+class TestFusedRankOne:
+    @settings(deadline=None, max_examples=60)
+    @given(rank_one_specs(), coeff_lists, st.data())
+    def test_act_basis_matches_composition_and_reference(self, drawn, cs, data):
+        spec, box = drawn
+        sym = data.draw(st.sampled_from(spec.algebra.symbols_in_box(box)))
+        f = Polynomial(cs)
+        got = spec.act_basis(sym, f)
+        assert canonical(got)
+        assert got == composed(f, spec._rule(sym))
+        entry = [cf(x) for x in spec.entry(sym).coeffs]
+        ref = ref_mul(ref_shift([cf(x) for x in f.coeffs], cf(shift_of(spec, sym))), entry)
+        assert same(got, ref)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(st.tuples(parameters, parameters, wide_scalars()), min_size=3, max_size=3),
+        multi(3),
+        st.sampled_from(LOOP.symbols_in_box(IndexBox((-1, 1), (-1, 1)))),
+    )
+    def test_tensor_slots_match_composition_and_reference(self, factors, f, sym):
+        spec = TensorOmega(factors)
+        got = spec.act_basis(sym, f)
+        assert canonical_multi(got)
+        unfused = MultiPolynomial(3)
+        ref: dict[tuple[int, ...], CF] = {}
+        for k, factor in enumerate(spec.factors):
+            rule = factor._rule(sym)
+            if not rule:
+                continue
+            shift, root, lead = rule[:3]
+            unfused = unfused + f.shift_var(k, shift).mul_linear_var(k, root).scale(lead)
+            # reference: shift the t_k column of every monomial, then multiply by x . 1 in t_k
+            entry = [cf(x) for x in factor.entry(sym).coeffs]
+            for e, x in ref_terms(f).items():
+                col = [CF0] * e[k] + [x]
+                for j, y in enumerate(ref_mul(ref_shift(col, cf(shift)), entry)):
+                    key = bump(e, k, j)
+                    ref[key] = cf_add(ref.get(key, CF0), y)
+        assert got == unfused
+        assert got.terms == clean(ref)
