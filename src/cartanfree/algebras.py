@@ -81,14 +81,6 @@ class BasisSymbol(tuple):
             raise ValueError(f"unknown generator letter {letter!r}")
         return tuple.__new__(cls, (letter, *indices))
 
-    @property
-    def letter(self) -> str:
-        return self[0]
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self[1:])
-
     def __str__(self) -> str:
         if len(self) == 1:
             return self[0]
@@ -129,10 +121,6 @@ class IndexBox:
             raise ValueError("empty first-index range")
         if self.second is not None and self.second[0] > self.second[1]:
             raise ValueError("empty second-index range")
-
-    @staticmethod
-    def symmetric(n: int) -> "IndexBox":
-        return IndexBox((-n, n), (-n, n))
 
     def as_dict(self, names: Sequence[str]) -> dict:
         d = {names[0]: list(self.first)}
@@ -258,9 +246,6 @@ class Algebra:
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
-
-    def element(self, terms: dict[BasisSymbol, ScalarLike]) -> "AlgebraElement":
-        return AlgebraElement(self, {s: scalar(c) for s, c in terms.items()})
 
     def span(self, *symbols: BasisSymbol) -> "AlgebraElement":
         return AlgebraElement(self, {s: ONE for s in symbols})

@@ -129,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("elem2")
     _add_algebra_flags(p)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_bracket)
 
     p = sub.add_parser("act", help="apply ELEM to a module vector")
     p.add_argument("elem")
@@ -136,6 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_algebra_flags(p)
     _add_module_flags(p)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_act)
 
     check = sub.add_parser("check", help="assertion-style verification sweeps")
     check_sub = check.add_subparsers(dest="check_command", required=True)
@@ -143,6 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = check_sub.add_parser("jacobi", help="Jacobi identity over a box")
     _add_algebra_flags(p)
     _add_common_flags(p)
+    p.set_defaults(run=_cmd_check_jacobi)
 
     p = check_sub.add_parser("module", help="module axioms for one family instance")
     _add_algebra_flags(p)
@@ -153,6 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="1;t;t^2;t^3-t",
         help="semicolon-separated test vectors",
     )
+    p.set_defaults(run=_cmd_check_module)
 
     p = check_sub.add_parser("center", help="centrality of the declared center")
     _add_algebra_flags(p)
@@ -162,12 +166,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also check the rescaled Virasoro copy inside block algebras",
     )
+    p.set_defaults(run=_cmd_check_center)
 
     p = check_sub.add_parser("composition", help="submodule chain facts at alpha = 0")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     _add_common_flags(p)
     p.add_argument("--max-degree", type=int, default=4)
+    p.set_defaults(run=_cmd_check_composition)
 
     probe = sub.add_parser("probe", help="span-closure probes (verdicts are data)")
     probe_sub = probe.add_subparsers(dest="probe_command", required=True)
@@ -178,6 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--seeds", default="1;t;t^2+1;t^3-t", help="semicolon-separated seeds")
+    p.set_defaults(run=_cmd_probe_simplicity)
 
     p = probe_sub.add_parser("tensor", help="probe a tensor product of loop factors")
     p.add_argument(
@@ -188,17 +195,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--seeds", default="1", help="semicolon-separated seeds")
+    p.set_defaults(run=_cmd_probe_tensor)
 
     p = sub.add_parser("classify", help="derive parameters / compare two tables")
     p.add_argument("table_a")
     p.add_argument("table_b", nargs="?")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("emit-table", help="write a family's action table as JSON")
     _add_algebra_flags(p)
     _add_module_flags(p)
     _add_common_flags(p)
     p.add_argument("--out", help="output path (stdout if omitted)")
+    p.set_defaults(run=_cmd_emit_table)
 
     return top
 
@@ -393,28 +403,8 @@ def _cmd_emit_table(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "bracket": _cmd_bracket,
-        "act": _cmd_act,
-        "classify": _cmd_classify,
-        "emit-table": _cmd_emit_table,
-    }
     try:
-        if args.command == "check":
-            handler = {
-                "jacobi": _cmd_check_jacobi,
-                "module": _cmd_check_module,
-                "center": _cmd_check_center,
-                "composition": _cmd_check_composition,
-            }[args.check_command]
-        elif args.command == "probe":
-            handler = {
-                "simplicity": _cmd_probe_simplicity,
-                "tensor": _cmd_probe_tensor,
-            }[args.probe_command]
-        else:
-            handler = handlers[args.command]
-        return handler(args)
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -71,7 +71,8 @@ class DegreeMismatchError(ToolkitError):
 
 
 class InconsistentEntryError(ToolkitError):
-    """An action table misses entries that parameter derivation requires."""
+    """An action table has the wrong shape (a field of the wrong type), or
+    misses entries that parameter derivation requires."""
 
 
 class NotInSubmoduleError(ToolkitError):

@@ -410,23 +410,31 @@ class ActionTable:
             body = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid action-table JSON: {exc.msg}", exc.pos) from exc
-        name = body.get("algebra")
-        q = body.get("q")
+        if not isinstance(body, dict):
+            raise InconsistentEntryError("an action table must be a JSON object")
+        q, k, l = body.get("q"), body.get("k"), body.get("l")
+        if not (q is None or isinstance(q, str) or type(q) is int):
+            raise InconsistentEntryError(f"table field 'q' must be a scalar string or an integer, not {q!r}")
+        for key, v in (("k", k), ("l", l)):
+            if not (v is None or type(v) is int):
+                raise InconsistentEntryError(f"table field {key!r} must be an integer, not {v!r}")
         algebra = algebra_from_name(
-            name,
-            q=scalar(q) if q is not None else None,
-            k=body.get("k"),
-            l=body.get("l"),
+            body.get("algebra"), q=scalar(q) if q is not None else None, k=k, l=l
         )
         box_spec = body.get("box", {})
         names = algebra.index_names
-        if names[0] not in box_spec:
+        if not isinstance(box_spec, dict) or names[0] not in box_spec:
             raise InconsistentEntryError(f"table box must bound index {names[0]!r}")
-        first = tuple(box_spec[names[0]])
-        second = tuple(box_spec[names[1]]) if len(names) > 1 and names[1] in box_spec else None
+        first = _table_bound(box_spec, names[0])
+        second = _table_bound(box_spec, names[1]) if len(names) > 1 and names[1] in box_spec else None
         box = IndexBox(first, second)
+        items = body.get("entries", [])
+        if not isinstance(items, list):
+            raise InconsistentEntryError("table field 'entries' must be a list")
         entries: dict[BasisSymbol, Polynomial] = {}
-        for item in body.get("entries", []):
+        for item in items:
+            if not isinstance(item, dict) or not all(isinstance(item.get(f), str) for f in ("sym", "poly")):
+                raise InconsistentEntryError(f"table entry {item!r} needs string fields 'sym' and 'poly'")
             elem = parse_element(algebra, item["sym"])
             if len(elem.terms) != 1 or ONE not in elem.terms.values():
                 raise ParseError(f"entry key {item['sym']!r} must be a bare symbol", 0)
@@ -436,6 +444,13 @@ class ActionTable:
                 raise ParseError("action-table entries must be univariate", 0)
             entries[sym] = poly
         return ActionTable(algebra, box, entries)
+
+
+def _table_bound(box_spec: dict, name: str) -> tuple[int, int]:
+    bound = box_spec[name]
+    if not (isinstance(bound, list) and len(bound) == 2 and all(type(x) is int for x in bound)):
+        raise InconsistentEntryError(f"table box bound {name!r} must be two integers [lo, hi], not {bound!r}")
+    return bound[0], bound[1]
 
 
 def build_action_table(spec: ModuleSpec, box: IndexBox) -> ActionTable:
@@ -492,18 +507,6 @@ class Derivation:
     @property
     def ok(self) -> bool:
         return self.params is not None
-
-    def spec(self) -> ModuleSpec:
-        if not self.ok:
-            raise InconsistentEntryError(f"no parameters derived: {self.violation}")
-        p = self.params
-        if self.family == "omega-loop":
-            return OmegaLoop(p["lambda"], p["mu"], p["alpha"])
-        if self.family == "omega-vir":
-            return OmegaVir(p["lambda"], p["alpha"])
-        if self.family == "omega-block":
-            return OmegaBlock(p["q"], p["lambda"], p["alpha"])
-        return OmegaBlockHV(p["lambda"], p["alpha"], p["beta"])
 
     def as_dict(self) -> dict:
         return {

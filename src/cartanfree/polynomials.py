@@ -25,10 +25,13 @@ a ``Polynomial`` holds tuples ``re`` and ``im`` of equal length and an int
 (multivariate) zero pair, den > 0, and gcd(den, every numerator) = 1; the
 zero polynomial is ((), (), 1), or no terms over 1.  Two polynomials are
 therefore equal iff their stored integers are, and == and hash compare
-tuples.  +, -, scale, shift, mul_linear and the multivariate forms are
-integer loops that canonicalise once, at the end.  ``apply_rank_one`` runs
-a whole rank-one action f(t - s) * (x . 1) as one such pass: a Taylor
-shift, a multiply by the degree-<=1 entry, one canonicalisation.
+tuples.  +, - and scale (both classes) are numerator loops that
+canonicalise once, at the end.  shift, mul_linear and their ``_var``
+forms are rules of the one rank-one kernel: ``apply_rank_one`` computes
+f(t - s) * e for an entry e of degree <= 1 (x . 1 for a module action) as
+a Taylor shift, a multiply by e and one canonicalisation, and ``shift``
+(e = 1) and ``mul_linear`` (s = 0, e = t - root) only build their rule
+with ``rank_one_rule``.
 
 Views.  ``coeffs`` (univariate), ``terms`` (multivariate), ``leading`` and
 ``constant_term`` are read-only GaussianRational views, built on each
@@ -37,10 +40,10 @@ access; ``degree``, ``bool``, == and hash read the integers directly.
 The constant degree cap ``DEGREE_CAP`` (64, per variable) bounds the
 inputs: polynomials built from coefficient lists or parsed literals
 (checked after like terms combine), and full products, which can double
-a degree, fail loudly above it.  The rank-one kernels (shift,
-mul_linear, scale, apply_rank_one and their multivariate forms) raise a
-degree by at most one and leave the bound to their callers: a probe's
-window bounds every vector it keeps, whatever the cap.
+a degree, fail loudly above it.  scale and the rank-one kernel (with
+shift, mul_linear and their multivariate forms) raise a degree by at
+most one and leave the bound to their callers: a probe's window bounds
+every vector it keeps, whatever the cap.
 """
 
 from __future__ import annotations
@@ -170,8 +173,10 @@ def _mul_affine(
 def rank_one_rule(shift: ScalarLike, entry: "Polynomial") -> tuple[int, ...]:
     """The integer form of the rule x . f = f(t - shift) * entry, for a nonzero entry of degree <= 1.
 
-    Returns (sp, si, sq, ar, ai, br, bi, ed) with shift = (sp + si*i)/sq
-    and entry = ((ar + ai*i) + (br + bi*i)*t)/ed; ``apply_rank_one`` takes it.
+    The entry is x . 1 for a module action, ``P_ONE`` for a plain shift, or
+    t - root (with shift 0) for a multiply by a linear factor.  Returns
+    (sp, si, sq, ar, ai, br, bi, ed) with shift = (sp + si*i)/sq and
+    entry = ((ar + ai*i) + (br + bi*i)*t)/ed; ``apply_rank_one`` takes it.
     """
     re, im = entry._re, entry._im
     if len(re) == 1:
@@ -342,14 +347,6 @@ class Polynomial:
     def __rmul__(self, other: ScalarLike) -> "Polynomial":
         return self.scale(other)
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        acc = P_ONE
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def scale(self, c: ScalarLike) -> "Polynomial":
         ca, cb, cd = _parts(c)
         if not cb and cd == 1:
@@ -364,23 +361,11 @@ class Polynomial:
 
         Degree and leading coefficient are preserved.
         """
-        if len(self._re) <= 1:
-            return self
-        cp, ci, cq = _parts(c)
-        if not (cp or ci):
-            return self
-        re, im = list(self._re), list(self._im)
-        m = _shift_num(re, im, cp, ci, cq)
-        return _canon(re, im, self._den * m)
+        return self.apply_rank_one(rank_one_rule(c, P_ONE))
 
     def mul_linear(self, root: ScalarLike) -> "Polynomial":
         """Multiply by (t - root) in O(degree) integer operations."""
-        re, im = self._re, self._im
-        if not re:
-            return P_ZERO
-        rp, ri, rq = _parts(root)
-        # (t - root) * f = (rq*t - (rp + ri*i)) * f / rq
-        return _canon(*_mul_affine(re, im, -rp, -ri, rq, 0), self._den * rq)
+        return self.apply_rank_one(rank_one_rule(0, T - constant(root)))
 
     def apply_rank_one(self, rule: tuple[int, ...]) -> "Polynomial":
         """f(t - s) * (x . 1) for a rule from ``rank_one_rule``, canonicalised once."""
@@ -510,7 +495,7 @@ def _columns(num: Terms, k: int, n: int) -> dict[Exponents, tuple[Numerators, Nu
     return cols
 
 
-def _scatter(acc: dict, rest: Exponents, k: int, re: Numerators, im: Numerators, w: int = 1) -> None:
+def _scatter(acc: dict, rest: Exponents, k: int, re: Numerators, im: Numerators, w: int) -> None:
     """Add w times the slot-k column (re, im) at exponents rest into acc."""
     for j, a in enumerate(re):
         b = im[j]
@@ -699,30 +684,11 @@ class MultiPolynomial:
 
     def shift_var(self, k: int, c: ScalarLike) -> "MultiPolynomial":
         """Substitute t_k -> t_k - c, leaving the other variables alone."""
-        cp, ci, cq = _parts(c)
-        if not (cp or ci) or not self._num:
-            return self
-        n = 1 + max(e[k] for e in self._num)
-        if n == 1:
-            return self
-        # one univariate shift per monomial in the other variables, all over one denominator
-        acc: dict = {}
-        for rest, (re, im) in _columns(self._num, k, n).items():
-            m = _shift_num(re, im, cp, ci, cq)
-            _scatter(acc, rest, k, re, im)
-        return _mcanon(self.nvars, acc, self._den * m)
+        return self.apply_rank_one([(k, rank_one_rule(c, P_ONE))])
 
     def mul_linear_var(self, k: int, root: ScalarLike) -> "MultiPolynomial":
         """Multiply by (t_k - root)."""
-        if not self._num:
-            return self
-        rp, ri, rq = _parts(root)
-        n = 1 + max(e[k] for e in self._num)
-        acc: dict = {}
-        for rest, (re, im) in _columns(self._num, k, n).items():
-            # (t_k - root) * column = (rq*t_k - (rp + ri*i)) * column / rq
-            _scatter(acc, rest, k, *_mul_affine(re, im, -rp, -ri, rq, 0))
-        return _mcanon(self.nvars, acc, self._den * rq)
+        return self.apply_rank_one([(k, rank_one_rule(0, T - constant(root)))])
 
     def apply_rank_one(self, slots: Iterable[tuple[int, tuple[int, ...]]]) -> "MultiPolynomial":
         """Sum over (k, rule) of f(.., t_k - s_k, ..) * (x_k . 1)(t_k), canonicalised once.

@@ -269,3 +269,56 @@ class TestIndexedVectorsRejected:
     def test_probe_simplicity(self, capsys):
         code, _, err = run(capsys, "probe", "simplicity", *self.LOOP_PARAMS, "--seeds", "t1")
         assert code == 2 and "indexed variables" in err
+
+
+def _drop_poly(body):
+    del body["entries"][0]["poly"]
+    return body
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(body):
+        node = body
+        for step in path:
+            node = node[step]
+        node[key] = value
+        return body
+
+    return mutate
+
+
+class TestMalformedTables:
+    """Well-formed JSON of the wrong shape is a usage error (exit 2), never a crash."""
+
+    LOOP = ("--algebra", "loop", "--lambda", "2", "--mu", "3", "--alpha", "1")
+    BLOCK = ("--algebra", "block", "--q", "2", "--lambda", "2", "--alpha", "1")
+
+    CASES = [
+        ("top-level-list", LOOP, lambda body: []),
+        ("entry-without-poly", LOOP, _drop_poly),
+        ("poly-not-a-string", LOOP, _set("entries", 0, "poly", 5)),
+        ("sym-not-a-string", LOOP, _set("entries", 0, "sym", ["L(0,0)"])),
+        ("entries-an-object", LOOP, _set("entries", {"a": 1})),
+        ("box-a-number", LOOP, _set("box", 5)),
+        ("bound-one-int", LOOP, _set("box", "i", [1])),
+        ("bound-strings", LOOP, _set("box", "i", ["a", "b"])),
+        ("bound-three-ints", LOOP, _set("box", "i", [-1, 1, 5])),
+        ("bound-bools", LOOP, _set("box", "j", [False, True])),
+        ("k-a-string", BLOCK, lambda body: {**body, "algebra": "block-trunc", "k": "x", "l": 2}),
+        ("q-a-list", BLOCK, _set("q", [1])),
+        ("q-a-float", BLOCK, _set("q", 0.5)),
+    ]
+
+    @pytest.mark.parametrize("family,mutate", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_exits_two_without_traceback(self, capsys, tmp_path, family, mutate):
+        path = tmp_path / "table.json"
+        code, _, _ = run(capsys, "emit-table", *family, "--box", "1", "--out", str(path))
+        assert code == 0
+        body = json.loads(path.read_text())
+        assert run(capsys, "classify", str(path))[0] == 0  # the unmutated table derives
+        path.write_text(json.dumps(mutate(body)))
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
