@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     TruncationRangeError,
 )
-from .scalars import GaussianRational, ONE, ScalarLike, scalar, scan_scalar
+from .scalars import GaussianRational, ONE, ScalarLike, scalar, scan_int, scan_sum, skip_ws
 
 __all__ = [
     "BasisSymbol",
@@ -139,32 +139,49 @@ DEFAULT_BOX = IndexBox((-3, 3), (-3, 3))
 
 
 def parse_box(text: str, names: Sequence[str] = ("i", "j")) -> IndexBox:
-    """Parse ``"3"`` (symmetric) or ``"i=-2..2,j=0..3"`` (named ranges)."""
-    text = text.strip()
+    """Parse ``"3"`` (symmetric) or ``"i=-2..2,j=0..3"`` (named ranges).
+
+    Sizes and bounds are ``['-']`` ASCII digits (``scan_int``), whitespace
+    may surround every token, and each name may be given once.
+    """
+    n = len(text)
     if "=" not in text:
-        try:
-            n = int(text)
-        except ValueError:
-            raise ParseError(f"box must be an integer or name=lo..hi list: {text!r}", 0)
-        if n < 0:
-            raise ParseError("symmetric box size must be nonnegative", 0)
-        return IndexBox((-n, n), (-n, n))
+        start = skip_ws(text, 0)
+        size, i = scan_int(text, start, "an integer or name=lo..hi list")
+        i = skip_ws(text, i)
+        if i != n:
+            raise ParseError(f"unexpected trailing input {text[i:]!r}", i)
+        if size < 0:
+            raise ParseError("symmetric box size must be nonnegative", start)
+        return IndexBox((-size, size), (-size, size))
     ranges: dict[str, tuple[int, int]] = {}
-    for part in text.split(","):
-        name, _, span = part.partition("=")
-        name = name.strip()
+    i = 0
+    while True:
+        start = skip_ws(text, i)
+        i = start
+        while i < n and text[i] not in "=,":
+            i += 1
+        name = text[start:i].rstrip()
         if name not in names:
             raise ParseError(
-                f"unknown index name {name!r} (expected one of {', '.join(names)})", 0
+                f"unknown index name {name!r} (expected one of {', '.join(names)})", start
             )
-        lo, sep, hi = span.partition("..")
-        if not sep:
-            raise ParseError(f"range for {name!r} must look like lo..hi", 0)
-        try:
-            bounds = (int(lo), int(hi))
-        except ValueError:
-            raise ParseError(f"bad bounds in {part!r}", 0)
-        ranges[name] = bounds
+        if name in ranges:
+            raise ParseError(f"repeated range for {name!r}", start)
+        if i == n or text[i] != "=":
+            raise ParseError(f"range for {name!r} must look like lo..hi", i)
+        lo, i = scan_int(text, skip_ws(text, i + 1))
+        i = skip_ws(text, i)
+        if not text.startswith("..", i):
+            raise ParseError(f"range for {name!r} must look like lo..hi", i)
+        hi, i = scan_int(text, skip_ws(text, i + 2))
+        ranges[name] = (lo, hi)
+        i = skip_ws(text, i)
+        if i == n:
+            break
+        if text[i] != ",":
+            raise ParseError(f"expected ',' between ranges, found {text[i]!r}", i)
+        i += 1
     first = ranges.get(names[0])
     if first is None:
         raise ParseError(f"missing range for {names[0]!r}", 0)
@@ -595,36 +612,22 @@ def bracket_basis(algebra: Algebra, x: BasisSymbol, y: BasisSymbol) -> AlgebraEl
 
 def parse_element(algebra: Algebra, text: str) -> AlgebraElement:
     """Parse an element literal against an algebra's basis and arities."""
-    i = 0
-    n = len(text)
 
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def scan_gen(i: int) -> tuple[BasisSymbol, int]:
+    def scan_gen(text: str, i: int) -> tuple[BasisSymbol, int]:
+        n = len(text)
         if i >= n or text[i] not in "LC":
             raise ParseError("expected a generator L(...) or C", i)
         letter = text[i]
         i += 1
         indices: list[int] = []
         if i < n and text[i] == "(":
-            i = skip_ws(i + 1)
+            i = skip_ws(text, i + 1)
             while True:
-                neg = False
-                if i < n and text[i] == "-":
-                    neg = True
-                    i += 1
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ParseError("expected an integer index", i)
-                indices.append(-int(text[i:j]) if neg else int(text[i:j]))
-                i = skip_ws(j)
+                index, i = scan_int(text, i, "an integer index")
+                indices.append(index)
+                i = skip_ws(text, i)
                 if i < n and text[i] == ",":
-                    i = skip_ws(i + 1)
+                    i = skip_ws(text, i + 1)
                     continue
                 if i < n and text[i] == ")":
                     i += 1
@@ -640,46 +643,15 @@ def parse_element(algebra: Algebra, text: str) -> AlgebraElement:
         return sym, i
 
     terms: dict[BasisSymbol, GaussianRational] = {}
-    i = skip_ws(i)
-    if i == n:
-        raise ParseError("empty element", i)
-    if text[i:].strip() == "0":
-        return AlgebraElement._raw(algebra, {})
-    first = True
-    while True:
-        sign = 1
-        if not first:
-            if i >= n:
-                break
-            if text[i] == "+":
-                i = skip_ws(i + 1)
-            elif text[i] == "-":
-                sign = -1
-                i = skip_ws(i + 1)
-            else:
-                raise ParseError(f"expected '+' or '-', found {text[i]!r}", i)
-        elif text[i] == "-" and skip_ws(i + 1) < n and text[skip_ws(i + 1)] in "LC":
-            sign, i = -1, skip_ws(i + 1)  # leading minus before a generator
-        first = False
-        coef = ONE
-        if i < n and (text[i].isdigit() or text[i] == "-"):
-            coef, i = scan_scalar(text, i)
-            j = skip_ws(i)
-            if j >= n or text[j] != "*":
-                raise ParseError("coefficient must be followed by '*' and a generator", i)
-            i = skip_ws(j + 1)
-        sym, i = scan_gen(i)
-        if sign < 0:
-            coef = -coef
+    if text.strip() == "0":
+        return AlgebraElement._raw(algebra, terms)
+    for coef, sym in scan_sum(text, "element", "LC", scan_gen, "a generator"):
         acc = terms.get(sym)
         acc = coef if acc is None else acc + coef
         if acc:
             terms[sym] = acc
         else:
             terms.pop(sym, None)
-        i = skip_ws(i)
-        if i == n:
-            break
     return AlgebraElement._raw(algebra, terms)
 
 

@@ -20,7 +20,9 @@ crash never reads as a failed check.
 
 Literal grammars (the single source of truth for all text I/O, UTF-8):
 
-    rat    ::= ['-'] int ['/' int]
+    uint   ::= digit digit*         (digit: the ASCII digits 0-9, no other Unicode digit)
+    int    ::= ['-'] uint
+    rat    ::= int ['/' uint]
     scalar ::= rat | rat ('+'|'-') rat 'i' | rat 'i'          e.g. -1/2+2/3i
     poly   ::= ['-'] term (('+'|'-') term)*                  e.g. -t^2 + 1
     term   ::= scalar | [scalar '*'] varpow ('*' varpow)*
@@ -33,7 +35,8 @@ before a digit it is the sign of the scalar literal, as in -1/2*t.
 
 Scalars bind tightly (no whitespace inside a literal); L takes one index
 for the Virasoro algebra and two otherwise; C takes an index only for the
-loop algebra.  Boxes are ``--box 3`` (symmetric) or ``--box i=-2..2,j=0..3``.
+loop algebra.  Boxes are ``--box 3`` (symmetric) or ``--box i=-2..2,j=0..3``
+(``int`` sizes and bounds, each name at most once).
 By default ``--q`` must be real (rational); pass ``--allow-complex-q`` to
 lift that.
 """
@@ -408,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (_CliError, FileNotFoundError, ToolkitError, ValueError) as exc:
+    except (_CliError, OSError, ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception:

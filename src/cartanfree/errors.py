@@ -71,8 +71,9 @@ class DegreeMismatchError(ToolkitError):
 
 
 class InconsistentEntryError(ToolkitError):
-    """An action table has the wrong shape (a field of the wrong type), or
-    misses entries that parameter derivation requires."""
+    """An action table has the wrong shape (a field of the wrong type, a
+    symbol given twice), or misses entries that parameter derivation
+    requires."""
 
 
 class NotInSubmoduleError(ToolkitError):

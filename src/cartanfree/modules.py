@@ -439,6 +439,8 @@ class ActionTable:
             if len(elem.terms) != 1 or ONE not in elem.terms.values():
                 raise ParseError(f"entry key {item['sym']!r} must be a bare symbol", 0)
             (sym,) = elem.terms
+            if sym in entries:
+                raise InconsistentEntryError(f"table entry {item['sym']!r} repeats the symbol {sym}")
             poly = parse_polynomial(item["poly"])
             if isinstance(poly, MultiPolynomial):
                 raise ParseError("action-table entries must be univariate", 0)

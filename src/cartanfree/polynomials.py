@@ -7,7 +7,7 @@ so all arithmetic is exact.
 
 Polynomial literals follow the grammar
 
-    poly ::= term (('+'|'-') term)*
+    poly ::= ['-'] term (('+'|'-') term)*
     term ::= scalar | [scalar '*'] varpow ('*' varpow)*
     varpow ::= var ['^' uint]
     var  ::= 't' | 't' uint
@@ -15,7 +15,9 @@ Polynomial literals follow the grammar
 e.g. ``2*t^3 - 1/2*t + 1`` (univariate) and ``t1^2*t2`` (multivariate).
 Scalars bind tightly (no internal whitespace), so a complex coefficient
 like ``1/2+2/3i*t`` parses as (1/2 + 2/3i)*t while ``1/2 + 2/3i*t`` is a
-two-term sum.  ``str()`` output re-parses to an equal value.
+two-term sum.  ``str()`` output re-parses to an equal value.  The sum is
+read by ``scalars.scan_sum``; this module scans only the products of
+variables.
 
 Storage.  A polynomial keeps integer numerators over one denominator:
 a ``Polynomial`` holds tuples ``re`` and ``im`` of equal length and an int
@@ -56,7 +58,7 @@ from .errors import (
     ParseError,
     ZeroPolynomialError,
 )
-from .scalars import GaussianRational, ONE, ZERO, ScalarLike, _scan_uint, scalar, scan_scalar
+from .scalars import GaussianRational, ZERO, ScalarLike, _scan_uint, at_digit, scalar, scan_sum, skip_ws
 
 __all__ = [
     "Polynomial",
@@ -745,29 +747,27 @@ class MultiPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
+def _scan_product(text: str, i: int) -> tuple[dict[int, int], int]:
+    """Scan ``varpow ('*' varpow)*``; returns ({var: exponent}, next), var 0 for bare t."""
+    powers: dict[int, int] = {}
+    while True:
+        if i >= len(text) or text[i] != "t":
+            raise ParseError("expected a variable", i)
         i += 1
-    return i
-
-
-def _scan_varpow(text: str, i: int) -> tuple[int | None, int, int]:
-    """Scan 't'[index]['^'exp]; returns (var index or None for bare t, exp, next)."""
-    if i >= len(text) or text[i] != "t":
-        raise ParseError("expected a variable", i)
-    i += 1
-    idx: int | None = None
-    if i < len(text) and text[i].isdigit():
-        idx, i = _scan_uint(text, i)
-        if idx < 1:
-            raise ParseError("variable indices start at 1", i - 1)
-    exp = 1
-    j = _skip_ws(text, i)
-    if j < len(text) and text[j] == "^":
-        j = _skip_ws(text, j + 1)
-        exp, j = _scan_uint(text, j)
-        i = j
-    return idx, exp, i
+        var = 0
+        if at_digit(text, i):
+            var, i = _scan_uint(text, i)
+            if var < 1:
+                raise ParseError("variable indices start at 1", i - 1)
+        exp = 1
+        j = skip_ws(text, i)
+        if j < len(text) and text[j] == "^":
+            exp, i = _scan_uint(text, skip_ws(text, j + 1))
+        powers[var] = powers.get(var, 0) + exp
+        j = skip_ws(text, i)
+        if j == len(text) or text[j] != "*":
+            return powers, i
+        i = skip_ws(text, j + 1)
 
 
 def parse_polynomial(text: str) -> Polynomial | MultiPolynomial:
@@ -777,74 +777,18 @@ def parse_polynomial(text: str) -> Polynomial | MultiPolynomial:
     occurs (including pure constants), and a MultiPolynomial when indexed
     variables ``t1``, ``t2``, ... occur.  Mixing the two forms is an error.
     """
-    # term accumulator: exponent tuple keyed sparse map, var count inferred
-    raw_terms: list[tuple[GaussianRational, dict[int, int]]] = []
-    uses_bare = False
-    uses_indexed = False
-    i = _skip_ws(text, 0)
-    if i == len(text):
-        raise ParseError("empty polynomial", i)
-    first = True
-    while True:
-        sign = 1
-        if not first:
-            if i >= len(text):
-                break
-            if text[i] == "+":
-                i = _skip_ws(text, i + 1)
-            elif text[i] == "-":
-                sign = -1
-                i = _skip_ws(text, i + 1)
-            else:
-                raise ParseError(f"expected '+' or '-', found {text[i]!r}", i)
-        elif text[i] == "-" and text.startswith("t", _skip_ws(text, i + 1)):
-            sign, i = -1, _skip_ws(text, i + 1)  # leading minus before a variable
-        first = False
-        coef = ONE
-        powers: dict[int, int] = {}
-        have_scalar = False
-        if i < len(text) and (text[i].isdigit() or text[i] == "-"):
-            c, i = scan_scalar(text, i)
-            coef = c
-            have_scalar = True
-        need_var = False
-        if have_scalar:
-            j = _skip_ws(text, i)
-            if j < len(text) and text[j] == "*":
-                i = _skip_ws(text, j + 1)
-                need_var = True
-        else:
-            need_var = True
-        if need_var:
-            while True:
-                idx, exp, i = _scan_varpow(text, i)
-                if idx is None:
-                    uses_bare = True
-                    key = 0
-                else:
-                    uses_indexed = True
-                    key = idx - 1
-                powers[key] = powers.get(key, 0) + exp
-                j = _skip_ws(text, i)
-                if j < len(text) and text[j] == "*":
-                    i = _skip_ws(text, j + 1)
-                    continue
-                break
-        if sign < 0:
-            coef = -coef
-        raw_terms.append((coef, powers))
-        i = _skip_ws(text, i)
-        if i == len(text):
-            break
+    raw_terms = [(c, p or {}) for c, p in scan_sum(text, "polynomial", "t", _scan_product, None)]
+    uses_bare = any(0 in p for _, p in raw_terms)
+    uses_indexed = any(var for _, p in raw_terms for var in p)
     if uses_bare and uses_indexed:
         raise ParseError("cannot mix bare 't' with indexed variables", 0)
     if uses_indexed:
-        nvars = 1 + max(max(p) if p else 0 for _, p in raw_terms)
+        nvars = max(max(p, default=0) for _, p in raw_terms)
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for coef, powers in raw_terms:
             exps = [0] * nvars
-            for k, e in powers.items():
-                exps[k] = e
+            for var, e in powers.items():
+                exps[var - 1] = e
             e = tuple(exps)
             acc = terms.get(e)
             acc = coef if acc is None else acc + coef

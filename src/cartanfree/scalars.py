@@ -9,20 +9,28 @@ the test suite is asserted with zero tolerance.
 
 Scalar literals follow the grammar
 
-    rat    ::= ['-'] int ['/' int]
+    uint   ::= digit digit*          (digit: ASCII 0-9 only)
+    int    ::= ['-'] uint
+    rat    ::= int ['/' uint]
     scalar ::= rat | rat ('+'|'-') rat 'i' | rat 'i'
 
 for example ``3/2``, ``-1/2+2/3i``, ``2i``.  No whitespace is permitted
 inside a literal; this keeps embedded scalars unambiguous inside
 polynomial and algebra-element expressions.  ``str()`` emits the canonical
 reduced form and ``parse_scalar(str(x)) == x`` always holds.
+
+This module also holds the scanner that every other literal is read
+with: ``scan_sum`` reads ``['-'] term (('+'|'-') term)*`` with ``term ::=
+[scalar '*'] atom`` and leaves the atom to its caller (a product of
+variables for polynomials, a generator for algebra elements), and
+``skip_ws`` and ``scan_int`` are the one whitespace and integer scanners.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 from .errors import (
     DivisionByZeroError,
@@ -42,6 +50,7 @@ __all__ = [
 ]
 
 ScalarLike = Union["GaussianRational", int, Fraction]
+Atom = TypeVar("Atom")
 
 _new = object.__new__
 
@@ -311,34 +320,53 @@ def pow_int(x: ScalarLike, n: int) -> GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# Literal scanning.  scan_scalar is reused by the polynomial and element
-# parsers, which is why it works on (text, offset) pairs and never skips
-# whitespace: a scalar literal binds tightly.
+# Literal scanning.  Every literal of the package is read here: scalars by
+# scan_scalar, and polynomials and algebra elements by scan_sum, which runs
+# the one sum-of-terms loop and leaves the atoms (monomials, generators) to
+# a scanner passed in by the caller.  All scanners work on (text, offset)
+# pairs.  Whitespace separates the tokens of a sum but never appears inside
+# a scalar literal, which binds tightly.
 # ---------------------------------------------------------------------------
 
 
-def _scan_uint(text: str, i: int) -> tuple[int, int]:
+def skip_ws(text: str, i: int) -> int:
+    """The first offset at or after i that is not whitespace."""
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return i
+
+
+def at_digit(text: str, i: int) -> bool:
+    """Is there an ASCII digit at offset i?  Other Unicode digits are not read."""
+    return i < len(text) and "0" <= text[i] <= "9"
+
+
+def _scan_uint(text: str, i: int, what: str = "an integer") -> tuple[int, int]:
     j = i
-    while j < len(text) and text[j].isdigit():
+    while at_digit(text, j):
         j += 1
     if j == i:
-        raise ParseError("expected an integer", i)
+        raise ParseError(f"expected {what}", i)
     return int(text[i:j]), j
 
 
-def _scan_rat(text: str, i: int) -> tuple[Fraction, int]:
-    neg = False
+def scan_int(text: str, i: int, what: str = "an integer") -> tuple[int, int]:
+    """Scan ``['-'] digits`` starting exactly at offset i; ``what`` names it in errors."""
     if i < len(text) and text[i] == "-":
-        neg = True
-        i += 1
-    num, i = _scan_uint(text, i)
+        num, i = _scan_uint(text, i + 1, what)
+        return -num, i
+    return _scan_uint(text, i, what)
+
+
+def _scan_rat(text: str, i: int) -> tuple[Fraction, int]:
+    num, i = scan_int(text, i)
     den = 1
     if i < len(text) and text[i] == "/":
         den_pos = i + 1
         den, i = _scan_uint(text, den_pos)
         if den == 0:
             raise ZeroDenominatorError("denominator is zero", den_pos)
-    return Fraction(-num if neg else num, den), i
+    return Fraction(num, den), i
 
 
 def scan_scalar(text: str, i: int) -> tuple[GaussianRational, int]:
@@ -365,14 +393,58 @@ def scan_scalar(text: str, i: int) -> tuple[GaussianRational, int]:
     return GaussianRational(r1), i
 
 
+def scan_sum(
+    text: str,
+    what: str,
+    starts: str,
+    scan_atom: Callable[[str, int], tuple[Atom, int]],
+    bare: str | None,
+) -> list[tuple[GaussianRational, Atom | None]]:
+    """Scan the whole of ``text`` as ``['-'] term (('+'|'-') term)*``.
+
+    A term is ``[scalar '*'] atom``, where ``scan_atom(text, i)`` reads an
+    atom at offset i and returns it with the offset after it.  ``starts``
+    holds the characters an atom begins with: a leading '-' before one of
+    them negates the first term, and before a digit it is the sign of the
+    scalar.  ``bare`` names what must follow a coefficient; when it is None
+    a term may be a bare scalar, whose atom is None.  Returns each term's
+    (signed coefficient, atom) in order; ``what`` names the literal in the
+    error for empty input.
+    """
+    n = len(text)
+    i = skip_ws(text, 0)
+    if i == n:
+        raise ParseError(f"empty {what}", i)
+    sign = 1
+    j = skip_ws(text, i + 1)
+    if text[i] == "-" and j < n and text[j] in starts:
+        sign, i = -1, j  # leading minus before an atom
+    terms: list[tuple[GaussianRational, Atom | None]] = []
+    while True:
+        coef, atom = ONE, None
+        if at_digit(text, i) or text.startswith("-", i):
+            coef, i = scan_scalar(text, i)
+            j = skip_ws(text, i)
+            if j < n and text[j] == "*":
+                atom, i = scan_atom(text, skip_ws(text, j + 1))
+            elif bare is not None:
+                raise ParseError(f"coefficient must be followed by '*' and {bare}", i)
+        else:
+            atom, i = scan_atom(text, i)
+        terms.append((-coef if sign < 0 else coef, atom))
+        i = skip_ws(text, i)
+        if i == n:
+            return terms
+        if text[i] not in "+-":
+            raise ParseError(f"expected '+' or '-', found {text[i]!r}", i)
+        sign = -1 if text[i] == "-" else 1
+        i = skip_ws(text, i + 1)
+
+
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a complete scalar literal (surrounding whitespace allowed)."""
-    i = 0
-    while i < len(text) and text[i].isspace():
-        i += 1
-    value, i = scan_scalar(text, i)
-    while i < len(text) and text[i].isspace():
-        i += 1
+    value, i = scan_scalar(text, skip_ws(text, 0))
+    i = skip_ws(text, i)
     if i != len(text):
         raise ParseError(f"unexpected trailing input {text[i:]!r}", i)
     return value

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanfree import (
+    AlgebraElement,
     Block,
     BlockHat,
     BlockTrunc,
@@ -303,3 +304,59 @@ class TestBoxParsing:
         syms = Block(-1).symbols_in_box(IndexBox((0, 0), (0, 3)))
         assert L(0, 2) not in syms  # the excluded symbol
         assert L(0, 3) in syms
+
+
+class TestBoxScanning:
+    """parse_box reads ['-'] ASCII digits with the shared integer scanner."""
+
+    @pytest.mark.parametrize(
+        "text,names,box",
+        [
+            (" 3 ", ("i", "j"), IndexBox((-3, 3), (-3, 3))),
+            ("0", ("i", "j"), IndexBox((0, 0), (0, 0))),
+            ("i= -1 .. 2 ,j=0..1", ("i", "j"), IndexBox((-1, 2), (0, 1))),
+            ("j=0..3, i=-2..2", ("i", "j"), IndexBox((-2, 2), (0, 3))),
+            ("i=-4..4", ("i",), IndexBox((-4, 4))),
+        ],
+    )
+    def test_valid(self, text, names, box):
+        assert parse_box(text, names) == box
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("1_0", 1),
+            ("+3", 0),
+            ("٣", 0),
+            ("i=0..²", 5),
+            ("i=0..1,i=2..3", 7),
+            ("i=0..1, j=0..1,j=2..3", 15),
+            ("-1", 0),
+            ("i=0..1;j=0..1", 6),
+            ("i=1", 3),
+        ],
+    )
+    def test_malformed_is_a_parse_error_at_its_offset(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse_box(text)
+        assert info.value.position == offset
+
+
+ALGEBRAS = [VIRASORO, LOOP, Block(-1), BlockHat(2), BlockTrunc(1, 0, 2)]
+
+
+@st.composite
+def elements(draw):
+    from conftest import scalars
+
+    alg = draw(st.sampled_from(ALGEBRAS))
+    syms = alg.symbols_in_box(IndexBox((-3, 3), (-3, 3)))
+    terms = draw(st.dictionaries(st.sampled_from(syms), scalars(), max_size=6))
+    return AlgebraElement(alg, terms)
+
+
+class TestElementRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(elements())
+    def test_str_reparses_to_the_element(self, e):
+        assert parse_element(e.algebra, str(e)) == e

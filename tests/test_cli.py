@@ -322,3 +322,56 @@ class TestMalformedTables:
         code, out, err = run(capsys, "classify", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestRepeatedTableSymbol:
+    """A symbol given twice is an inconsistent table (exit 2), whichever entry comes first."""
+
+    EXTRA = {"sym": "L(-2,-2)", "poly": "t^2"}
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_exits_two(self, capsys, tmp_path, where):
+        path = tmp_path / "table.json"
+        code, _, _ = run(
+            capsys, "emit-table", "--algebra", "loop", "--lambda", "2", "--mu", "3",
+            "--alpha", "2", "--box", "2", "--out", str(path),
+        )
+        assert code == 0
+        body = json.loads(path.read_text())
+        assert any(e["sym"] == "L(-2,-2)" for e in body["entries"])
+        if where == "first":
+            body["entries"].insert(0, self.EXTRA)
+        else:
+            body["entries"].append(self.EXTRA)
+        path.write_text(json.dumps(body))
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "L(-2,-2)" in err and "Traceback" not in err
+
+
+class TestFileErrors:
+    """Any OSError on a path named by the user is a usage error (exit 2), never a crash."""
+
+    def test_classify_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "classify", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_emit_table_out_a_directory(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "emit-table", "--algebra", "virasoro", "--lambda", "1",
+            "--alpha", "0", "--box", "1", "--out", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_permission_denied(self, capsys, tmp_path, monkeypatch):
+        import cartanfree.cli as cli
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(args[0]))
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        code, out, err = run(capsys, "classify", str(tmp_path / "table.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Permission denied" in err

@@ -140,3 +140,44 @@ class TestPowers:
     )
     def test_power_addition_law(self, x, a, b):
         assert pow_int(x, a + b) == pow_int(x, a) * pow_int(x, b)
+
+
+class TestAsciiDigits:
+    """Only ASCII 0-9 are digits: '²' (which int() rejects) and '٣' (which
+    int() reads as 3) are parse errors at their offset in every literal."""
+
+    @staticmethod
+    def _parsers():
+        from cartanfree import VIRASORO, parse_element, parse_polynomial
+
+        return {
+            "scalar": parse_scalar,
+            "polynomial": parse_polynomial,
+            "element": lambda text: parse_element(VIRASORO, text),
+        }
+
+    CASES = [
+        ("scalar", "²", 0),
+        ("scalar", "٣", 0),
+        ("scalar", "1/٣", 2),
+        ("scalar", "1+2²i", 1),  # the complex tail is not taken: trailing input
+        ("polynomial", "t^²", 2),
+        ("polynomial", "٣*t", 0),
+        ("polynomial", "t٣", 1),
+        ("polynomial", "2*t^٣", 4),
+        ("element", "L(²)", 2),
+        ("element", "L(-٣)", 3),
+        ("element", "٣*L(1)", 0),
+    ]
+
+    @pytest.mark.parametrize("kind,text,offset", CASES)
+    def test_non_ascii_digit_is_a_parse_error(self, kind, text, offset):
+        with pytest.raises(ParseError) as info:
+            self._parsers()[kind](text)
+        assert info.value.position == offset
+
+    def test_ascii_digits_still_read(self):
+        p = self._parsers()
+        assert parse_scalar("10/3") == GaussianRational(Fraction(10, 3))
+        assert str(p["polynomial"]("3*t^10")) == "3*t^10"
+        assert str(p["element"]("3*L(-10)")) == "3*L(-10)"
