@@ -31,6 +31,7 @@ independent check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -103,7 +104,6 @@ class ProbeConfig:
     box: IndexBox = IndexBox((-2, 2), (-2, 2))
     max_degree: int = 4
     seeds: tuple = DEFAULT_SEEDS
-    max_rounds: int | None = None
 
     def __post_init__(self):
         if self.max_degree < 1:
@@ -177,56 +177,56 @@ def _closure(
     gens: Sequence[BasisSymbol],
     act: Callable[[BasisSymbol, object], object],
     window: VectorWindow,
-    max_rounds: int | None,
+    max_rounds: int | None = None,
 ) -> SpanBasis:
     """Window closure of span{seed} under the actions of gens.
 
-    Images are staged in the window's one-degree-larger staging layout
-    (``VectorWindow.ext_vector``); after each round the part of their
-    cumulative span that lies inside the window is folded into the
-    closure, and genuinely new directions feed the next round.  Every
-    vector the closure keeps is an exact submodule member, so a filled
-    window never overclaims.  Because the action is linear, images of the
-    recorded spanning vectors generate the images of the whole closure,
-    so the loop reaches a true fixpoint.
+    One basis in the window's staging layout (``VectorWindow.ext_vector``)
+    takes the seed and every image.  Its rows with an inside pivot span
+    exactly its span intersected with the window, and each round acts on
+    those whose pivot is new since the round before: an older inside row
+    has since changed only by multiples of newer inside rows, whose images
+    come in their turn.  Every vector the closure keeps is an exact
+    submodule member, so a filled window never overclaims, and by
+    linearity the loop reaches a true fixpoint.
 
     gens need only span the operators of the box generators (see
     ``ModuleSpec.spanning_symbols``): every other generator's image of a
     vector lies in the span of their images of it, so each round's staged
-    span is the same.  Only staged rows whose pivot is new in a round are
-    folded: an older inside-window row was folded before and has since
-    changed only by multiples of newer inside-window rows (elimination
-    clears a new pivot column, whose pivot lies after the old row's), so
-    the folded span is the same as folding every row.
+    span is the same.  The closure is returned in window coordinates; its
+    rows are the inside rows' tails, already reduced.
     """
-    main = SpanBasis(window.dim)
-    main.insert(window.vector_of(seed))
     staged = SpanBasis(window.ext_dim)
-    frontier = [seed]
+    staged.insert(window.ext_vector(seed))
+    acted: set[int] = set()
     rounds = 0
     budget = max_rounds if max_rounds is not None else window.dim + 2
-    while frontier and main.rank < window.dim:
+    while True:
+        first = bisect_left(staged.pivots, window.n_outside)  # inside rows come last
+        if staged.rank - first == window.dim:
+            break
+        frontier = [
+            window.window_poly(row[window.n_outside:])
+            for row, piv in zip(staged.rows[first:], staged.pivots[first:])
+            if piv not in acted
+        ]
+        if not frontier:
+            break
         rounds += 1
         if rounds > budget:
             raise MaxRoundsExceededError(
                 f"closure did not stabilize within {budget} rounds"
             )
-        folded = set(staged.pivots)
+        acted.update(staged.pivots[first:])
         for f in frontier:
             for g in gens:
                 image = act(g, f)
                 if image:
                     staged.insert(window.ext_vector(image))
-        frontier = []
-        for row, piv in zip(staged.rows, staged.pivots):
-            if piv < window.n_outside or piv in folded:
-                continue  # reaches outside the window, or folded in an earlier round
-            tail = row[window.n_outside:]
-            if main.insert(tail):
-                frontier.append(window.window_poly(tail))
-                if main.rank == window.dim:
-                    break
-    return main
+    closure = SpanBasis(window.dim)
+    for row in staged.rows[first:]:
+        closure.insert(row[window.n_outside:])
+    return closure
 
 
 def _escapes(image, k: int) -> bool:
@@ -323,7 +323,7 @@ def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
     worst: SpanBasis | None = None
     for seed in cfg.seeds:
         seed = _prepare_seed(seed, window, spec)
-        basis = _closure(seed, gens, spec.act_basis, window, cfg.max_rounds)
+        basis = _closure(seed, gens, spec.act_basis, window)
         seed_dims[str(seed)] = basis.rank
         if worst is None or basis.rank < worst.rank:
             worst = basis
@@ -497,9 +497,12 @@ def submodule_invariance_check(
         spec.as_dict(), box, spec.algebra.index_names, escape is None, checked
     )
     if escape is not None:
-        g, f, image = escape
-        report.witness = f"{g} . ({f}) = {image} has constant term {image.constant_term}"
+        report.witness = _escape_witness(*escape)
     return report
+
+
+def _escape_witness(g: BasisSymbol, f: Polynomial, image: Polynomial) -> str:
+    return f"{g} . ({f}) = {image} has constant term {image.constant_term}"
 
 
 @dataclass
@@ -553,54 +556,47 @@ def composition_series_check(
 ) -> CompositionReport:
     """Verify the full submodule chain picture for the alpha = 0 loop module.
 
-    The test vectors are t, .., t^max_degree, so max_degree must be >= 1:
-    with none, the invariance and intertwiner facts would pass vacuously.
+    One pass over the box: each generator acts on 1 for the quotient fact
+    (b), then on t, .., t^max_degree, where a failed strip of t is the
+    escape that breaks (a) and (c) at once.  ``detail`` lists the first
+    escape, then the quotient failures, then the intertwiner failures.
+    max_degree must be >= 1: with no t^k, (a) and (c) would pass vacuously.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     lam, mu = scalar(lam), scalar(mu)
     spec0 = OmegaLoop(lam, mu, 0)
     spec1 = OmegaLoop(lam, mu, 1)
-    detail: list[str] = []
     # t, .., t^D: max_degree, not DEGREE_CAP, bounds them
     t_powers = [Polynomial._from_scalars((ZERO,) * k + (ONE,)) for k in range(1, max_degree + 1)]
-
-    inv = submodule_invariance_check(spec0, box, t_powers)
-    if not inv.ok:
-        detail.append(inv.witness or "invariance failed")
-
-    # (b) trivial quotient: x . 1 lands in the subspace for L-generators,
-    # and central generators kill everything
-    trivial = True
+    escape: str | None = None
+    quotient: list[str] = []
+    intertwiner: list[str] = []
     for g in spec0.algebra.symbols_in_box(box):
+        # (b) L-generators send 1 into the subspace, central generators act as zero
         image = spec0.act_basis(g, P_ONE)
         if g[0] == "C":
             if image:
-                trivial = False
-                detail.append(f"central {g} acts as {image} on 1")
+                quotient.append(f"central {g} acts as {image} on 1")
         elif image.constant_term:
-            trivial = False
-            detail.append(f"{g} . 1 = {image} escapes the subspace")
-
-    # (c) the intertwiner: strip_t(x . g) = x . strip_t(g) across modules
-    intertwiner = True
-    for g in spec0.algebra.symbols_in_box(box):
+            quotient.append(f"{g} . 1 = {image} escapes the subspace")
+        # (a) and (c): strip_t(g . v) = g . strip_t(v) across the two modules
         for vec in t_powers:
             lhs = spec0.act_basis(g, vec)
             rhs = spec1.act_basis(g, strip_t(vec))
             try:
                 lhs_stripped = strip_t(lhs)
             except NotInSubmoduleError:
-                intertwiner = False
-                detail.append(f"{g} . {vec} = {lhs} left the submodule")
+                escape = escape or _escape_witness(g, vec, lhs)
+                intertwiner.append(f"{g} . {vec} = {lhs} left the submodule")
                 continue
             if lhs_stripped != rhs:
-                intertwiner = False
-                detail.append(
+                intertwiner.append(
                     f"strip({g} . {vec}) = {lhs_stripped} != {rhs} = {g} . strip({vec})"
                 )
+    detail = ([escape] if escape else []) + quotient + intertwiner
     return CompositionReport(
-        lam, mu, box, max_degree, inv.ok, trivial, intertwiner, detail
+        lam, mu, box, max_degree, escape is None, not quotient, not intertwiner, detail
     )
 
 

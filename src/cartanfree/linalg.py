@@ -96,22 +96,23 @@ class VectorWindow:
     DegreeOverflowError; callers must discard such values rather than
     truncate them.
 
-    A closure probe collects action images in a one-degree-larger staging
-    window (one extra degree per variable always suffices, because every
-    action raises at most one slot's degree by one).  ``ext_vector`` gives
-    staging coordinates, ``ext_dim`` of them, permuted so the ``n_outside``
-    outside-the-window monomials come first: in a reduced row-echelon
-    span, the rows whose pivot lies in the inside region then have zero
-    outside part, so they form an exact basis of
+    A closure probe keeps its seed and every action image in one basis
+    over a one-degree-larger staging window (one extra degree per
+    variable always suffices, because every action raises at most one
+    slot's degree by one).  ``ext_vector`` gives staging coordinates,
+    ``ext_dim`` of them, permuted so the ``n_outside`` outside-the-window
+    monomials come first: in a reduced row-echelon span, the rows whose
+    pivot lies in the inside region then have zero outside part, so they
+    form an exact basis of
 
-        span(collected images)  intersect  window,
+        span(seed and images)  intersect  window,
 
-    and ``window_poly`` rebuilds the polynomial of such a row's inside
-    tail.  Keeping that intersection, rather than only the raw images
-    that happen to fit, matters: a raw image is a sum over tensor slots
-    and one slot can overflow while a linear combination of images (an
-    action of a combination of box generators, hence still a submodule
-    member) stays inside.
+    which is the probe's closure, and ``window_poly`` rebuilds the
+    polynomial of such a row's inside tail.  Keeping that intersection,
+    rather than only the raw images that happen to fit, matters: a raw
+    image is a sum over tensor slots and one slot can overflow while a
+    linear combination of images (an action of a combination of box
+    generators, hence still a submodule member) stays inside.
     """
 
     def __init__(self, max_degree: int, nvars: int = 1):

@@ -186,13 +186,10 @@ class ModuleSpec:
                 f"element of {e.algebra.describe()} cannot act on a {self.family} module"
             )
         f = self.vector(f)
-        acc = self._zero_vector(f)
+        acc = f.scale(0)
         for s, c in e.terms.items():
             acc = acc + self.act_basis(sym=s, f=f) * c
         return acc
-
-    def _zero_vector(self, f):
-        return P_ZERO
 
     def one(self):
         """The free generator (the constant polynomial 1)."""
@@ -354,9 +351,6 @@ class TensorOmega(ModuleSpec):
 
     def one(self) -> MultiPolynomial:
         return MultiPolynomial.constant(self.nvars, 1)
-
-    def _zero_vector(self, f):
-        return MultiPolynomial(self.nvars)
 
     def vector(self, f) -> MultiPolynomial:
         """f embedded in C[t1..tm]: t becomes t1 and missing variables are padded."""

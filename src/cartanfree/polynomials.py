@@ -42,10 +42,11 @@ access; ``degree``, ``bool``, == and hash read the integers directly.
 The constant degree cap ``DEGREE_CAP`` (64, per variable) bounds the
 inputs: polynomials built from coefficient lists or parsed literals
 (checked after like terms combine), and full products, which can double
-a degree, fail loudly above it.  scale and the rank-one kernel (with
-shift, mul_linear and their multivariate forms) raise a degree by at
-most one and leave the bound to their callers: a probe's window bounds
-every vector it keeps, whatever the cap.
+a degree, fail loudly above it; a literal's variable indices stop at
+it too, so no parse sizes an exponent list beyond it.  scale and the
+rank-one kernel (with shift, mul_linear and their multivariate forms)
+raise a degree by at most one and leave the bound to their callers: a
+probe's window bounds every vector it keeps, whatever the cap.
 """
 
 from __future__ import annotations
@@ -756,9 +757,12 @@ def _scan_product(text: str, i: int) -> tuple[dict[int, int], int]:
         i += 1
         var = 0
         if at_digit(text, i):
-            var, i = _scan_uint(text, i)
+            var, j = _scan_uint(text, i)
             if var < 1:
-                raise ParseError("variable indices start at 1", i - 1)
+                raise ParseError("variable indices start at 1", j - 1)
+            if var > DEGREE_CAP:  # exponent lists are sized by the largest index
+                raise ParseError(f"variable indices stop at {DEGREE_CAP}", i)
+            i = j
         exp = 1
         j = skip_ws(text, i)
         if j < len(text) and text[j] == "^":

@@ -347,7 +347,10 @@ def _scan_uint(text: str, i: int, what: str = "an integer") -> tuple[int, int]:
         j += 1
     if j == i:
         raise ParseError(f"expected {what}", i)
-    return int(text[i:j]), j
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # past Python's limit on digits converted to an int
+        raise ParseError(f"digit run of {j - i} digits is too long", i) from None
 
 
 def scan_int(text: str, i: int, what: str = "an integer") -> tuple[int, int]:

@@ -328,9 +328,10 @@ class TestProbeGuards:
     def test_round_budget_guard(self):
         from cartanfree.errors import MaxRoundsExceededError
 
-        cfg = ProbeConfig(seeds=(P_ONE,), max_rounds=1)
+        spec = OmegaLoop(2, 3, 1)
+        gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
         with pytest.raises(MaxRoundsExceededError):
-            simplicity_probe(OmegaLoop(2, 3, 1), cfg)
+            _closure(P_ONE, gens, spec.act_basis, VectorWindow(4), 1)
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -354,14 +355,16 @@ class TestProbeGuards:
         ],
     )
     def test_round_count_is_kept(self, spec, D, seeds, last_failing):
-        # closing under a spanning subset and folding only new pivots leaves
-        # each round's staged span, hence the number of rounds, unchanged
+        # closing under a spanning subset and acting only on new inside rows
+        # leaves each round's staged span, hence the number of rounds, unchanged
         from cartanfree.errors import MaxRoundsExceededError
 
+        window = VectorWindow(D, spec.nvars)
+        gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
+        (seed,) = (spec.vector(s) for s in seeds)
         with pytest.raises(MaxRoundsExceededError):
-            simplicity_probe(spec, ProbeConfig(max_degree=D, seeds=seeds, max_rounds=last_failing))
-        cfg = ProbeConfig(max_degree=D, seeds=seeds, max_rounds=last_failing + 1)
-        assert simplicity_probe(spec, cfg).seed_dims
+            _closure(seed, gens, spec.act_basis, window, last_failing)
+        assert _closure(seed, gens, spec.act_basis, window, last_failing + 1).rank
 
 
 class TestWindowBoundsDegrees:
