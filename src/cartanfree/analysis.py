@@ -195,19 +195,24 @@ def _closure(
     vector lies in the span of their images of it, so each round's staged
     span is the same.  The closure is returned in window coordinates; its
     rows are the inside rows' tails, already reduced.
+
+    Everything here stays on integers: images enter as numerator maps of
+    their polynomial storage, the frontier polynomials are rebuilt from
+    the integer rows, and no GaussianRational is made.
     """
+    n_out = window.n_outside
     staged = SpanBasis(window.ext_dim)
-    staged.insert(window.ext_vector(seed))
+    staged.insert(window.ext_vector(seed)[0])
     acted: set[int] = set()
     rounds = 0
     budget = max_rounds if max_rounds is not None else window.dim + 2
     while True:
-        first = bisect_left(staged.pivots, window.n_outside)  # inside rows come last
+        first = bisect_left(staged.pivots, n_out)  # inside rows come last
         if staged.rank - first == window.dim:
             break
         frontier = [
-            window.window_poly(row[window.n_outside:])
-            for row, piv in zip(staged.rows[first:], staged.pivots[first:])
+            window.window_poly(row, row[piv][0])  # an inside row, over its pivot's numerator
+            for row, piv in zip(staged.num_rows[first:], staged.pivots[first:])
             if piv not in acted
         ]
         if not frontier:
@@ -222,10 +227,10 @@ def _closure(
             for g in gens:
                 image = act(g, f)
                 if image:
-                    staged.insert(window.ext_vector(image))
+                    staged.insert(window.ext_vector(image)[0])
     closure = SpanBasis(window.dim)
-    for row in staged.rows[first:]:
-        closure.insert(row[window.n_outside:])
+    for row in staged.num_rows[first:]:
+        closure.insert({k - n_out: pair for k, pair in row.items()})
     return closure
 
 
@@ -262,10 +267,10 @@ def _certificate(spec: ModuleSpec, box: IndexBox, window: VectorWindow, closure:
     """
     monos = window.monomials
     for k in range(window.nvars):
-        outside = [idx for idx, e in enumerate(monos) if not e[k]]
+        outside = {idx for idx, e in enumerate(monos) if not e[k]}
         if closure.rank != window.dim - len(outside):
             continue
-        if any(row[idx] for row in closure.rows for idx in outside):
+        if any(not outside.isdisjoint(row) for row in closure.num_rows):
             continue
         slice_basis = [window.monomial(idx) for idx, e in enumerate(monos) if e[k]]
         if _sweep(spec, box, slice_basis, k)[1] is None:

@@ -27,6 +27,10 @@ class ZeroDenominatorError(ParseError):
     """A rational literal with denominator 0."""
 
 
+class DigitRunError(ParseError):
+    """A digit run longer than Python converts to an int (4,300 digits)."""
+
+
 class NonInvertibleError(ToolkitError):
     """Negative power of zero."""
 

@@ -3,83 +3,202 @@
 A SpanBasis is kept in reduced row-echelon form (pivots 1, pivot columns
 cleared elsewhere, strictly increasing pivot positions), so rank and
 membership queries are exact and canonical.
+
+Storage.  A row is a sparse map from each of its nonzero columns to a
+pair (re, im) of Gaussian-integer numerators over one positive row
+denominator, which is the pivot's numerator: the pivot entry is
+(den, 0).  Each row is primitive, gcd(den, every numerator) = 1, which
+makes the map the unique integer form of the canonical row, and it is
+divided by its content again after every update.  Elimination is
+fraction-free in the spirit of Bareiss: a vector is cleared at the
+pivots it holds by integer multiples of their rows, with no division
+per entry.  It visits only those pivots, because reducing by the row
+of pivot p never brings in another pivot column.  Vectors enter either
+as lists of GaussianRational, converted once over their common
+denominator, or as numerator maps, whose scale does not matter.
+``rows`` is the GaussianRational view of the form, built one row per
+access; ``num_rows`` gives the maps themselves.
+
+``VectorWindow`` reads the staging maps of probe images straight from
+the integer storage of ``Polynomial`` and ``MultiPolynomial`` and builds
+the frontier polynomials back from inside rows with their canonicalisers,
+so a probe closure makes no GaussianRational.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import product
+from math import gcd, lcm
 
 from .errors import DegreeOverflowError, DimensionMismatchError
-from .polynomials import MultiPolynomial, Polynomial
-from .scalars import GaussianRational, ONE, ZERO
+from .polynomials import MultiPolynomial, Polynomial, _canon, _mcanon
+from .scalars import GaussianRational, ZERO
 
 __all__ = ["SpanBasis", "VectorWindow"]
 
 Vector = list[GaussianRational]
+Numerators = dict[int, tuple[int, int]]
+_make = GaussianRational._make
+
+
+def _primitive(num: Numerators) -> Numerators:
+    """num divided by the gcd of all its integers (num nonzero)."""
+    g = 0
+    for a, b in num.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return num
+    return {k: (a // g, b // g) for k, (a, b) in num.items()}
+
+
+def _clear(rest: Numerators, hits: list[tuple[Numerators, int, tuple[int, int]]]) -> Numerators:
+    """Clear a vector at the pivots of rows; returns a positive integer multiple, without zeros.
+
+    The vector is rest plus the entry x at each hit (row, p, x), where row
+    is a primitive row with pivot p and the rows hold zeros at each
+    other's pivots.  So x / den_p is the exact coefficient of row p, and
+    v - sum x / den_p * row comes out, times the lcm L of the reduced
+    denominators, in one integer pass over the rows' other entries.
+    """
+    steps = []
+    L = 1
+    for row, p, (ca, cb) in hits:
+        d = row[p][0]
+        g = gcd(d, ca, cb)
+        if g != 1:
+            d, ca, cb = d // g, ca // g, cb // g
+        steps.append((row, p, d, ca, cb))
+        L = lcm(L, d)
+    out = rest if L == 1 else {k: (a * L, b * L) for k, (a, b) in rest.items()}
+    get = out.get
+    for row, p, d, ca, cb in steps:
+        if d != L:
+            m = L // d
+            ca, cb = ca * m, cb * m
+        for k, (ra, rb) in row.items():
+            if k != p:
+                x = get(k, (0, 0))
+                out[k] = (x[0] - ca * ra + cb * rb, x[1] - ca * rb - cb * ra)
+    return {k: x for k, x in out.items() if x[0] or x[1]}
+
+
+class _Rows(Sequence):
+    """The rows of a SpanBasis as canonical GaussianRational lists, one row built per access."""
+
+    __slots__ = ("_basis",)
+
+    def __init__(self, basis: "SpanBasis"):
+        self._basis = basis
+
+    def __len__(self) -> int:
+        return len(self._basis.pivots)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        basis = self._basis
+        p = basis.pivots[k]
+        row = basis._by_pivot[p]
+        den = row[p][0]
+        out = [ZERO] * basis.ncols
+        for col, (a, b) in row.items():
+            out[col] = _make(a, b, den)
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _Rows)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 class SpanBasis:
-    """A subspace of Q(i)^n in reduced row-echelon form.
+    """A subspace of Q(i)^n in reduced row-echelon form, on primitive integer rows.
 
-    Each row keeps the sorted list of its nonzero columns, so elimination
-    touches only those entries.
+    ``pivots`` lists the pivot columns in increasing order.  ``num_rows``
+    holds, in the same order, each row's map from its nonzero columns to
+    Gaussian-integer numerators (re, im); the pivot's numerator (den, 0)
+    is the row's denominator.  ``rows`` is the canonical GaussianRational
+    view of the same rows.  ``insert`` and ``contains`` take a list of
+    ncols GaussianRationals or a numerator map, whose keys are columns
+    below ncols and whose pairs are nonzero; only the map's direction
+    matters, so it may be any nonzero multiple of the vector meant.
     """
 
     def __init__(self, ncols: int):
         if ncols < 1:
             raise ValueError("need at least one column")
         self.ncols = ncols
-        self.rows: list[Vector] = []
         self.pivots: list[int] = []
-        self._support: list[list[int]] = []
+        self._by_pivot: dict[int, Numerators] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _check_dim(self, v: Vector) -> None:
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self)
+
+    @property
+    def num_rows(self) -> list[Numerators]:
+        return [self._by_pivot[p] for p in self.pivots]
+
+    def _numerators(self, v: "Vector | Numerators") -> Numerators:
+        if isinstance(v, dict):
+            return v
         if len(v) != self.ncols:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} in a span of column dimension {self.ncols}"
             )
+        den = lcm(*[c.d for c in v])
+        return {k: (c.a * (den // c.d), c.b * (den // c.d)) for k, c in enumerate(v) if c.a or c.b}
 
-    def _reduce(self, v: Vector) -> Vector:
-        v = list(v)
-        for row, p, support in zip(self.rows, self.pivots, self._support):
-            c = v[p]
-            if c.a or c.b:  # c != 0, without a __bool__ call per row
-                for k in support:
-                    v[k] = v[k] - c * row[k]
-        return v
+    def _reduce(self, v: Numerators) -> Numerators:
+        """A new map: a multiple of v with its part in the span removed.
 
-    def insert(self, v: Vector) -> bool:
+        A unit row (the pivot alone) only drops its column; only the other
+        rows that v meets at their pivots take arithmetic.
+        """
+        by_pivot = self._by_pivot
+        rest: Numerators = {}
+        hits = []
+        for p, x in v.items():
+            row = by_pivot.get(p)
+            if row is None:
+                rest[p] = x
+            elif len(row) > 1:
+                hits.append((row, p, x))
+        return _clear(rest, hits) if hits else rest
+
+    def insert(self, v: "Vector | Numerators") -> bool:
         """Add v to the span; returns True iff the rank grew."""
-        self._check_dim(v)
-        r = self._reduce(v)
-        support = [k for k, c in enumerate(r) if c.a or c.b]
-        if not support:
+        r = self._reduce(self._numerators(v))
+        if not r:
             return False
-        p = support[0]
-        inv = r[p].inverse()
-        for k in support:
-            r[k] = r[k] * inv
-        # clear the new pivot column from the existing rows
-        for idx, row in enumerate(self.rows):
-            c = row[p]
-            if c:
-                for k in support:
-                    row[k] = row[k] - c * r[k]
-                merged = sorted(set(self._support[idx]).union(support))
-                self._support[idx] = [k for k in merged if row[k]]
-        at = next((idx for idx, piv in enumerate(self.pivots) if piv > p), len(self.pivots))
-        self.rows.insert(at, r)
+        p = min(r)
+        a, b = r[p]
+        if b:  # times the conjugate of the pivot entry, which becomes a*a + b*b
+            r = {k: (x * a + y * b, y * a - x * b) for k, (x, y) in r.items()}
+        elif a < 0:
+            r = {k: (-x, -y) for k, (x, y) in r.items()}
+        r = _primitive(r)
+        # clear the new pivot column from the rows above it (only they can hold it)
+        by_pivot = self._by_pivot
+        at = bisect_left(self.pivots, p)
+        for q in self.pivots[:at]:
+            row = by_pivot[q]
+            x = row.get(p)
+            if x is not None:
+                rest = {k: y for k, y in row.items() if k != p}
+                by_pivot[q] = _primitive(_clear(rest, [(r, p, x)]))
         self.pivots.insert(at, p)
-        self._support.insert(at, support)
+        by_pivot[p] = r
         return True
 
-    def contains(self, v: Vector) -> bool:
-        self._check_dim(v)
-        return all(not c for c in self._reduce(v))
+    def contains(self, v: "Vector | Numerators") -> bool:
+        return not self._reduce(self._numerators(v))
 
 
 def window_monomials(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -99,20 +218,21 @@ class VectorWindow:
     A closure probe keeps its seed and every action image in one basis
     over a one-degree-larger staging window (one extra degree per
     variable always suffices, because every action raises at most one
-    slot's degree by one).  ``ext_vector`` gives staging coordinates,
-    ``ext_dim`` of them, permuted so the ``n_outside`` outside-the-window
-    monomials come first: in a reduced row-echelon span, the rows whose
-    pivot lies in the inside region then have zero outside part, so they
-    form an exact basis of
+    slot's degree by one).  ``ext_vector`` gives a polynomial's staging
+    numerator map and its denominator, read from the integer storage,
+    with the columns permuted so the ``n_outside`` outside-the-window
+    monomials come first (``ext_dim`` columns in all): in a reduced
+    row-echelon span, the rows whose pivot lies in the inside region then
+    have zero outside part, so they form an exact basis of
 
         span(seed and images)  intersect  window,
 
     which is the probe's closure, and ``window_poly`` rebuilds the
-    polynomial of such a row's inside tail.  Keeping that intersection,
-    rather than only the raw images that happen to fit, matters: a raw
-    image is a sum over tensor slots and one slot can overflow while a
-    linear combination of images (an action of a combination of box
-    generators, hence still a submodule member) stays inside.
+    polynomial of such a row.  Keeping that intersection, rather than
+    only the raw images that happen to fit, matters: a raw image is a sum
+    over tensor slots and one slot can overflow while a linear
+    combination of images (an action of a combination of box generators,
+    hence still a submodule member) stays inside.
     """
 
     def __init__(self, max_degree: int, nvars: int = 1):
@@ -124,26 +244,24 @@ class VectorWindow:
         self.nvars = nvars
         self.monomials = window_monomials(nvars, max_degree)
         self.dim = len(self.monomials)
-        self._index = {e: k for k, e in enumerate(self.monomials)}
-        outside = [e for e in window_monomials(nvars, max_degree + 1) if e not in self._index]
+        index = {e: k for k, e in enumerate(self.monomials)}
+        outside = [e for e in window_monomials(nvars, max_degree + 1) if e not in index]
         self.n_outside = len(outside)
         self.ext_dim = self.n_outside + self.dim
-        self._ext_index = {e: k for k, e in enumerate(outside + self.monomials)}
+        ext_index = {e: k for k, e in enumerate(outside + self.monomials)}
+        if nvars == 1:  # univariate coefficients are looked up by degree
+            index = [index[(k,)] for k in range(len(index))]
+            ext_index = [ext_index[(k,)] for k in range(len(ext_index))]
+        self._index, self._ext_index = index, ext_index
 
-    def _coords(self, f: "Polynomial | MultiPolynomial", index: dict, degree: int) -> Vector:
-        """Coefficients of f at the positions index gives its monomials (exponents <= degree)."""
-        v = [ZERO] * len(index)
+    def _numerators(self, f: "Polynomial | MultiPolynomial", index, degree: int) -> tuple[dict, int]:
+        """f's numerators at the columns index gives its monomials (exponents <= degree), and den."""
         if self.nvars == 1:
             if isinstance(f, MultiPolynomial):
                 f = f.to_polynomial()
-            try:
-                for k, c in enumerate(f.coeffs):
-                    v[index[(k,)]] = c
-            except KeyError:
-                raise DegreeOverflowError(
-                    f"degree {f.degree} exceeds window degree {degree}"
-                ) from None
-            return v
+            if len(f._re) > len(index):
+                raise DegreeOverflowError(f"degree {f.degree} exceeds window degree {degree}")
+            return {index[k]: (a, b) for k, (a, b) in enumerate(zip(f._re, f._im)) if a or b}, f._den
         if isinstance(f, Polynomial):
             f = MultiPolynomial.from_polynomial(f, self.nvars)
         if f.nvars != self.nvars:
@@ -151,38 +269,53 @@ class VectorWindow:
                 f"polynomial in {f.nvars} variables, window has {self.nvars}"
             )
         try:
-            for e, c in f.terms.items():
-                v[index[e]] = c
+            return {index[e]: pair for e, pair in f._num.items()}, f._den
         except KeyError as exc:
             raise DegreeOverflowError(
                 f"monomial exponents {exc.args[0]} exceed window degree {degree}"
             ) from None
-        return v
 
     def vector_of(self, f: "Polynomial | MultiPolynomial") -> Vector:
-        return self._coords(f, self._index, self.max_degree)
+        """Window coordinates of f as GaussianRationals."""
+        num, den = self._numerators(f, self._index, self.max_degree)
+        v = [ZERO] * self.dim
+        for k, (a, b) in num.items():
+            v[k] = _make(a, b, den)
+        return v
 
-    def ext_vector(self, f: "Polynomial | MultiPolynomial") -> Vector:
-        """Staging coordinates of f: outside-the-window monomials first."""
-        return self._coords(f, self._ext_index, self.max_degree + 1)
+    def ext_vector(self, f: "Polynomial | MultiPolynomial") -> tuple[Numerators, int]:
+        """Staging numerator map of f (outside-the-window monomials first) and its denominator."""
+        return self._numerators(f, self._ext_index, self.max_degree + 1)
 
-    def window_poly(self, tail: Vector) -> "Polynomial | MultiPolynomial":
-        """Rebuild the polynomial of an inside-region row tail; the window bounds its degree."""
-        if self.nvars == 1:
-            return Polynomial._from_scalars(tail)
-        return MultiPolynomial._from_scalars(self.nvars, dict(zip(self.monomials, tail)))
+    def window_poly(self, tail: "Vector | Numerators", den: int = 1) -> "Polynomial | MultiPolynomial":
+        """Rebuild a polynomial the window bounds: from a window-coordinate tail, or from
+        an inside staging row's numerator map over den (a probe's frontier)."""
+        if not isinstance(tail, dict):
+            if self.nvars == 1:
+                return Polynomial._from_scalars(tail)
+            return MultiPolynomial._from_scalars(self.nvars, dict(zip(self.monomials, tail)))
+        off = self.n_outside
+        if self.nvars == 1:  # window column k holds t^k
+            re, im = [0] * self.dim, [0] * self.dim
+            for k, (a, b) in tail.items():
+                re[k - off], im[k - off] = a, b
+            return _canon(re, im, den)
+        monos = self.monomials
+        return _mcanon(self.nvars, {monos[k - off]: pair for k, pair in tail.items()}, den)
 
     def monomial(self, idx: int) -> "Polynomial | MultiPolynomial":
         """The idx-th window monomial as a polynomial; the window bounds its degree."""
         if self.nvars == 1:
-            return Polynomial._from_scalars((ZERO,) * idx + (ONE,))
-        return MultiPolynomial._from_scalars(self.nvars, {self.monomials[idx]: ONE})
+            return Polynomial._raw((0,) * idx + (1,), (0,) * (idx + 1), 1)
+        return MultiPolynomial._raw(self.nvars, {self.monomials[idx]: (1, 0)}, 1)
 
     def missing_monomial(self, basis: SpanBasis) -> "Polynomial | MultiPolynomial | None":
-        """A window monomial outside the span (a coset witness), if any."""
-        for idx in range(self.dim):
-            v = [ZERO] * self.dim
-            v[idx] = ONE
-            if not basis.contains(v):
-                return self.monomial(idx)
-        return None
+        """A window monomial outside the span (a coset witness), if any.
+
+        In reduced row-echelon form the unit vector e_idx lies in the span
+        iff idx is a pivot whose row is e_idx itself, so the witness is the
+        first window index that is not the pivot of a unit row.
+        """
+        units = {p for p, row in zip(basis.pivots, basis.num_rows) if len(row) == 1}
+        idx = next((k for k in range(self.dim) if k not in units), None)
+        return None if idx is None else self.monomial(idx)

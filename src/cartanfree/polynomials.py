@@ -33,7 +33,9 @@ forms are rules of the one rank-one kernel: ``apply_rank_one`` computes
 f(t - s) * e for an entry e of degree <= 1 (x . 1 for a module action) as
 a Taylor shift, a multiply by e and one canonicalisation, and ``shift``
 (e = 1) and ``mul_linear`` (s = 0, e = t - root) only build their rule
-with ``rank_one_rule``.
+with ``rank_one_rule``.  ``linalg.VectorWindow`` is the one reader of this
+storage outside this module: it stages probe vectors from the integers
+and rebuilds frontier polynomials with ``_canon`` and ``_mcanon``.
 
 Views.  ``coeffs`` (univariate), ``terms`` (multivariate), ``leading`` and
 ``constant_term`` are read-only GaussianRational views, built on each

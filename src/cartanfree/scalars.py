@@ -33,6 +33,7 @@ from math import gcd
 from typing import Callable, TypeVar, Union
 
 from .errors import (
+    DigitRunError,
     DivisionByZeroError,
     NonInvertibleError,
     ParseError,
@@ -350,7 +351,7 @@ def _scan_uint(text: str, i: int, what: str = "an integer") -> tuple[int, int]:
     try:
         return int(text[i:j]), j
     except ValueError:  # past Python's limit on digits converted to an int
-        raise ParseError(f"digit run of {j - i} digits is too long", i) from None
+        raise DigitRunError(f"digit run of {j - i} digits is too long", i) from None
 
 
 def scan_int(text: str, i: int, what: str = "an integer") -> tuple[int, int]:
@@ -386,8 +387,8 @@ def scan_scalar(text: str, i: int) -> tuple[GaussianRational, int]:
         sign = -1 if text[i] == "-" else 1
         try:
             r2, j = _scan_rat(text, i + 1)
-        except ZeroDenominatorError:
-            raise
+        except (ZeroDenominatorError, DigitRunError):
+            raise  # errors of the tail's own digits, not a reason to backtrack
         except ParseError:
             return GaussianRational(r1), i
         if j < len(text) and text[j] == "i":

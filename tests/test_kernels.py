@@ -2,8 +2,9 @@
 
 The scalar fast paths, the integer polynomial kernels (shift, mul_linear,
 scale, +, -, shift_var, mul_linear_var and the fused rank-one action
-behind act_basis) and the sparse elimination in SpanBasis are compared
-with textbook arithmetic on pairs of Fractions written here, independent
+behind act_basis) and the sparse elimination in SpanBasis, fed scalar
+lists or Gaussian-integer numerator maps, are compared with textbook
+arithmetic on pairs of Fractions written here, independent
 of the package.  Coefficients include values wider than 64 bits, zeros,
 and terms that cancel.  The integer storage of the polynomials is checked
 for its canonical form, its read-only views and the agreement of == and
@@ -288,6 +289,25 @@ def vector_lists(draw):
     return ncols, vectors
 
 
+gaussian_ints = st.tuples(wide_ints, wide_ints).filter(any)
+
+
+def numerator_map(v: list[GaussianRational], k: tuple[int, int]) -> dict[int, tuple[int, int]]:
+    """(k[0] + k[1]*i) * den * v as a map of Gaussian-integer numerators, den the lcm of v's denominators."""
+    parts = [cf(x) for x in v]
+    den = 1
+    for re, im in parts:
+        den = den * re.denominator // gcd(den, re.denominator)
+        den = den * im.denominator // gcd(den, im.denominator)
+    out = {}
+    for col, (re, im) in enumerate(parts):
+        a, b = int(re * den), int(im * den)
+        a, b = a * k[0] - b * k[1], a * k[1] + b * k[0]
+        if a or b:
+            out[col] = (a, b)
+    return out
+
+
 class TestSparseElimination:
     @settings(deadline=None)
     @given(vector_lists())
@@ -300,6 +320,42 @@ class TestSparseElimination:
         assert basis.pivots == [next(k for k, c in enumerate(r) if c != CF0) for r in ref]
         assert basis.rows == [[GaussianRational(*x) for x in row] for row in ref]
         assert all(basis.contains(v) for v in vectors)
+
+    @settings(deadline=None)
+    @given(vector_lists(), st.data())
+    def test_numerator_maps_match_scalar_lists(self, drawn, data):
+        # a map is a nonzero Gaussian-integer multiple of the vector; only its direction counts
+        ncols, vectors = drawn
+        target = data.draw(st.lists(wide_scalars(), min_size=ncols, max_size=ncols))
+        scalars_in, maps_in = SpanBasis(ncols), SpanBasis(ncols)
+        for v in vectors:
+            grew = scalars_in.insert(v)
+            assert maps_in.insert(numerator_map(v, data.draw(gaussian_ints))) == grew
+        ref = ref_rref([[cf(x) for x in v] for v in vectors])
+        assert maps_in.pivots == scalars_in.pivots
+        assert maps_in.pivots == [next(k for k, c in enumerate(r) if c != CF0) for r in ref]
+        assert maps_in.rows == scalars_in.rows == [[GaussianRational(*x) for x in row] for row in ref]
+        for row, p in zip(maps_in.num_rows, maps_in.pivots):
+            # primitive rows over the pivot's numerator (den, 0), den > 0
+            assert min(row) == p and row[p][0] > 0 and row[p][1] == 0
+            assert gcd(*[x for pair in row.values() for x in pair]) == 1 and all(map(any, row.values()))
+        assert all(maps_in.contains(numerator_map(v, data.draw(gaussian_ints))) for v in vectors)
+        inside = len(ref_rref([[cf(x) for x in v] for v in vectors + [target]])) == len(ref)
+        assert maps_in.contains(numerator_map(target, data.draw(gaussian_ints))) == inside
+        assert scalars_in.contains(target) == inside
+
+    @settings(deadline=None)
+    @given(vector_lists())
+    def test_rows_view_builds_each_row(self, drawn):
+        ncols, vectors = drawn
+        basis = SpanBasis(ncols)
+        for v in vectors:
+            basis.insert(v)
+        rows = list(basis.rows)
+        assert len(basis.rows) == len(rows) == basis.rank
+        for k in range(-basis.rank, basis.rank):
+            assert basis.rows[k] == rows[k]
+        assert basis.rows[1:] == rows[1:]
 
 
 # -- integer storage: canonical form, views, == and hash -------------------------

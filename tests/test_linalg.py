@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanfree import MultiPolynomial, SpanBasis, VectorWindow, parse_polynomial, scalar
 from cartanfree.errors import DegreeOverflowError, DimensionMismatchError
-from cartanfree.scalars import ZERO
+from cartanfree.scalars import ZERO, GaussianRational
 
 from conftest import oracle_solvable, scalars
 
@@ -124,11 +126,15 @@ class TestVectorization:
     def test_staging_layout_puts_outside_monomials_first(self, nvars, D, inside, outside):
         w = VectorWindow(D, nvars)
         f, g = parse_polynomial(inside), parse_polynomial(outside)
-        v = w.ext_vector(f + g)
+        num, den = w.ext_vector(f + g)
+        v = [ZERO] * w.ext_dim
+        for k, (a, b) in num.items():
+            v[k] = GaussianRational(Fraction(a, den), Fraction(b, den))
         assert len(v) == w.ext_dim == w.n_outside + w.dim
         assert any(v[: w.n_outside])
         assert v[w.n_outside :] == w.vector_of(f)
         assert w.window_poly(v[w.n_outside :]) == f
+        assert w.window_poly({k: x for k, x in num.items() if k >= w.n_outside}, den) == f
 
     def test_missing_monomial_witness(self):
         w = VectorWindow(3, 1)
@@ -138,3 +144,18 @@ class TestVectorization:
         witness = w.missing_monomial(b)
         assert witness is not None
         assert not b.contains(w.vector_of(witness))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2)]), st.data())
+    def test_missing_monomial_matches_membership(self, shape, data):
+        # the RREF read-out agrees with the definition: the first unit vector outside the span
+        D, nvars = shape
+        w = VectorWindow(D, nvars)
+        sparse = st.sampled_from([ZERO, ZERO, ZERO, scalar(1), scalar(-2), scalar("1i"), scalar("1/2+1i")])
+        b = SpanBasis(w.dim)
+        for v in data.draw(st.lists(st.lists(sparse, min_size=w.dim, max_size=w.dim), max_size=w.dim + 1)):
+            b.insert(v)
+        units = [[scalar(int(k == idx)) for k in range(w.dim)] for idx in range(w.dim)]
+        missing = next((idx for idx in range(w.dim) if not b.contains(units[idx])), None)
+        witness = w.missing_monomial(b)
+        assert witness == (None if missing is None else w.monomial(missing))

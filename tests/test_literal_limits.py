@@ -1,7 +1,7 @@
 """Literals too large to read are parse errors at their offset, found before any allocation.
 
-A digit run longer than Python's int-conversion limit (4,300 digits) and a
-variable index above ``DEGREE_CAP`` are both rejected by the scanner, so
+A digit run longer than Python's int-conversion limit (4,300 digits), also
+in the imaginary part of a complex literal, and a variable index above ``DEGREE_CAP`` are both rejected by the scanner, so
 callers see a ``ParseError`` (CLI exit 2, one ``parse error:`` line) and
 no exponent list is sized by an index first.
 """
@@ -45,6 +45,21 @@ class TestLongDigitRuns:
     def test_cli(self, capsys):
         err = _cli_error(capsys, "t^" + LONG)
         assert len(err) == 1 and err[0].startswith("parse error:")
+
+    @pytest.mark.parametrize("parse", [parse_scalar, parse_polynomial])
+    def test_imaginary_part(self, parse):
+        # the complex-tail backtrack keeps the run's own error
+        with pytest.raises(ParseError, match="5000 digits") as info:
+            parse("1+" + LONG + "i")
+        assert info.value.position == 2 and len(str(info.value)) < 80
+
+    def test_imaginary_part_cli(self, capsys):
+        # --lambda is read as a scalar literal, through the backtrack
+        argv = ["act", "--algebra", "loop", "--lambda", "1+" + LONG + "i", "--mu", "3", "--alpha", "1"]
+        code = main([*argv, "L(1,0)", "t"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("parse error:") and len(err[0]) < 80
 
 
 class TestVariableIndexLimit:
