@@ -24,15 +24,24 @@ shift and root act as lead-weighted sums of the same slot operators, so
 only those with independent lead vectors are applied, and generators
 acting as 0 are skipped.  Every other generator's image of a vector lies
 in the span of the applied generators' images of it, so the closure is
-the closure under the whole box.  The certificate sweep and
-``submodule_invariance_check`` still apply every box generator, as an
-independent check.
+the closure under the whole box.
+
+A probe acts through operator columns (``_OperatorColumns``): column
+(g, k) is g applied to the k-th window monomial.  One table serves all
+the seeds of one probe and dies with it, holding at most
+|gens| * window.dim columns.  A frontier row of the closure is nearly
+always a unit row (one monomial), whose image is its column; any other
+row's image is the integer combination of its columns.  The certificate
+sweep and ``submodule_invariance_check`` do not use the columns: they
+apply every box generator with ``act_basis``, so a certified verdict
+rests on an independent computation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .algebras import (
@@ -53,8 +62,8 @@ from .modules import (
     derive_parameters,
     strip_t,
 )
-from .polynomials import P_ONE, Polynomial, T, monomial, parse_polynomial
-from .scalars import GaussianRational, I, ONE, ZERO, scalar
+from .polynomials import P_ONE, Polynomial, T, _t_power, monomial, parse_polynomial
+from .scalars import GaussianRational, I, scalar
 
 __all__ = [
     "ProbeConfig",
@@ -172,10 +181,65 @@ class ProbeVerdict:
         )
 
 
+class _OperatorColumns:
+    """One probe's generators acting on its window, one operator column at a time.
+
+    Column (g, k) is the staging numerator map of g . m_k, for m_k the
+    k-th window monomial, with its denominator.  It is built slot by slot
+    from the spec's own slots (``ModuleSpec._slots``: the spec itself, or
+    the factors of a tensor product): slot s sends m_k to (g . t^e)(t_s)
+    times m_k's other factors, for e its exponent in slot s, and the slot
+    spec's ``act_basis`` runs once per (slot, generator, exponent), so the
+    table keeps at most |gens| * nvars * (D + 1) slot images besides its
+    columns.  The denominators matter: a Block shift m*q with q not an
+    integer gives each monomial its own.
+    """
+
+    def __init__(self, spec: ModuleSpec, window: VectorWindow):
+        self._slots = spec._slots()
+        self._window = window
+        self._columns: dict = {}
+        self._slot_images: dict = {}
+
+    def column(self, g: BasisSymbol, k: int) -> tuple[dict, int]:
+        col = self._columns.get((g, k))
+        if col is None:
+            images = []
+            for s, e in enumerate(self._window.monomials[k]):
+                image = self._slot_images.get((s, g, e))
+                if image is None:
+                    image = self._slot_images[s, g, e] = self._slots[s].act_basis(g, _t_power(e))
+                images.append(image)
+            col = self._columns[g, k] = self._window.ext_column(k, images)
+        return col
+
+    def image(self, g: BasisSymbol, row: dict) -> dict:
+        """Staging numerator map of g applied to an inside staging row, up to a nonzero scale.
+
+        A unit row (frontier rows nearly always are) takes its column; any
+        other row the exact integer combination of its columns, over the
+        lcm of their denominators.
+        """
+        off = self._window.n_outside
+        if len(row) == 1:
+            (k,) = row
+            return self.column(g, k - off)[0]
+        cols = [(self.column(g, k - off), x) for k, x in row.items()]
+        big = lcm(*[den for (_, den), _ in cols])
+        out: dict = {}
+        for (col, den), (ra, rb) in cols:
+            w = big // den
+            ra, rb = ra * w, rb * w
+            for c, (a, b) in col.items():
+                x = out.get(c, (0, 0))
+                out[c] = (x[0] + a * ra - b * rb, x[1] + a * rb + b * ra)
+        return {c: x for c, x in out.items() if x[0] or x[1]}
+
+
 def _closure(
     seed,
     gens: Sequence[BasisSymbol],
-    act: Callable[[BasisSymbol, object], object],
+    act: Callable[[BasisSymbol, dict], dict],
     window: VectorWindow,
     max_rounds: int | None = None,
 ) -> SpanBasis:
@@ -190,15 +254,18 @@ def _closure(
     submodule member, so a filled window never overclaims, and by
     linearity the loop reaches a true fixpoint.
 
+    act(g, row) is the staging numerator map of g applied to an inside
+    row, up to scale: a probe hands over ``_OperatorColumns.image``, so
+    each image is read off the operator columns, and no polynomial is
+    rebuilt from a row nor acted on here.  SpanBasis replaces rows rather
+    than changing them, so each round's frontier is a snapshot.
+
     gens need only span the operators of the box generators (see
     ``ModuleSpec.spanning_symbols``): every other generator's image of a
     vector lies in the span of their images of it, so each round's staged
     span is the same.  The closure is returned in window coordinates; its
-    rows are the inside rows' tails, already reduced.
-
-    Everything here stays on integers: images enter as numerator maps of
-    their polynomial storage, the frontier polynomials are rebuilt from
-    the integer rows, and no GaussianRational is made.
+    rows are the inside rows' tails, already reduced.  Everything here
+    stays on integers, and no GaussianRational is made.
     """
     n_out = window.n_outside
     staged = SpanBasis(window.ext_dim)
@@ -211,7 +278,7 @@ def _closure(
         if staged.rank - first == window.dim:
             break
         frontier = [
-            window.window_poly(row, row[piv][0])  # an inside row, over its pivot's numerator
+            row
             for row, piv in zip(staged.num_rows[first:], staged.pivots[first:])
             if piv not in acted
         ]
@@ -223,11 +290,11 @@ def _closure(
                 f"closure did not stabilize within {budget} rounds"
             )
         acted.update(staged.pivots[first:])
-        for f in frontier:
+        for row in frontier:
             for g in gens:
-                image = act(g, f)
+                image = act(g, row)
                 if image:
-                    staged.insert(window.ext_vector(image)[0])
+                    staged.insert(image)
     closure = SpanBasis(window.dim)
     for row in staged.num_rows[first:]:
         closure.insert({k - n_out: pair for k, pair in row.items()})
@@ -324,11 +391,12 @@ def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
     """The probe body shared by both public probes."""
     window = VectorWindow(cfg.max_degree, spec.nvars)
     gens = spec.spanning_symbols(spec.algebra.symbols_in_box(cfg.box))
+    act = _OperatorColumns(spec, window).image
     seed_dims: dict[str, int] = {}
     worst: SpanBasis | None = None
     for seed in cfg.seeds:
         seed = _prepare_seed(seed, window, spec)
-        basis = _closure(seed, gens, spec.act_basis, window)
+        basis = _closure(seed, gens, act, window)
         seed_dims[str(seed)] = basis.rank
         if worst is None or basis.rank < worst.rank:
             worst = basis
@@ -573,7 +641,7 @@ def composition_series_check(
     spec0 = OmegaLoop(lam, mu, 0)
     spec1 = OmegaLoop(lam, mu, 1)
     # t, .., t^D: max_degree, not DEGREE_CAP, bounds them
-    t_powers = [Polynomial._from_scalars((ZERO,) * k + (ONE,)) for k in range(1, max_degree + 1)]
+    t_powers = [_t_power(k) for k in range(1, max_degree + 1)]
     escape: str | None = None
     quotient: list[str] = []
     intertwiner: list[str] = []

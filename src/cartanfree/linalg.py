@@ -19,10 +19,10 @@ denominator, or as numerator maps, whose scale does not matter.
 ``rows`` is the GaussianRational view of the form, built one row per
 access; ``num_rows`` gives the maps themselves.
 
-``VectorWindow`` reads the staging maps of probe images straight from
-the integer storage of ``Polynomial`` and ``MultiPolynomial`` and builds
-the frontier polynomials back from inside rows with their canonicalisers,
-so a probe closure makes no GaussianRational.
+``VectorWindow`` reads the staging maps of probe vectors and operator
+columns straight from the integer storage of ``Polynomial`` and
+``MultiPolynomial``; it never builds a polynomial back from a row, so a
+probe closure makes no GaussianRational and no frontier polynomial.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .errors import DegreeOverflowError, DimensionMismatchError
-from .polynomials import MultiPolynomial, Polynomial, _canon, _mcanon
+from .polynomials import MultiPolynomial, Polynomial, _t_power
 from .scalars import GaussianRational, ZERO
 
 __all__ = ["SpanBasis", "VectorWindow"]
@@ -124,6 +124,8 @@ class SpanBasis:
     ncols GaussianRationals or a numerator map, whose keys are columns
     below ncols and whose pairs are nonzero; only the map's direction
     matters, so it may be any nonzero multiple of the vector meant.
+    Neither changes the map it is given, and an update replaces a row's
+    map rather than changing it.
     """
 
     def __init__(self, ncols: int):
@@ -227,12 +229,14 @@ class VectorWindow:
 
         span(seed and images)  intersect  window,
 
-    which is the probe's closure, and ``window_poly`` rebuilds the
-    polynomial of such a row.  Keeping that intersection, rather than
+    which is the probe's closure.  Keeping that intersection, rather than
     only the raw images that happen to fit, matters: a raw image is a sum
     over tensor slots and one slot can overflow while a linear
     combination of images (an action of a combination of box generators,
-    hence still a submodule member) stays inside.
+    hence still a submodule member) stays inside.  No row is turned back
+    into a polynomial: a probe acts on an inside row through the staging
+    maps of the generators' images of the window monomials
+    (``ext_column``), combined with the row's entries.
     """
 
     def __init__(self, max_degree: int, nvars: int = 1):
@@ -248,7 +252,7 @@ class VectorWindow:
         outside = [e for e in window_monomials(nvars, max_degree + 1) if e not in index]
         self.n_outside = len(outside)
         self.ext_dim = self.n_outside + self.dim
-        ext_index = {e: k for k, e in enumerate(outside + self.monomials)}
+        ext_index = self._ext_at = {e: k for k, e in enumerate(outside + self.monomials)}
         if nvars == 1:  # univariate coefficients are looked up by degree
             index = [index[(k,)] for k in range(len(index))]
             ext_index = [ext_index[(k,)] for k in range(len(ext_index))]
@@ -287,26 +291,38 @@ class VectorWindow:
         """Staging numerator map of f (outside-the-window monomials first) and its denominator."""
         return self._numerators(f, self._ext_index, self.max_degree + 1)
 
-    def window_poly(self, tail: "Vector | Numerators", den: int = 1) -> "Polynomial | MultiPolynomial":
-        """Rebuild a polynomial the window bounds: from a window-coordinate tail, or from
-        an inside staging row's numerator map over den (a probe's frontier)."""
-        if not isinstance(tail, dict):
-            if self.nvars == 1:
-                return Polynomial._from_scalars(tail)
-            return MultiPolynomial._from_scalars(self.nvars, dict(zip(self.monomials, tail)))
-        off = self.n_outside
-        if self.nvars == 1:  # window column k holds t^k
-            re, im = [0] * self.dim, [0] * self.dim
-            for k, (a, b) in tail.items():
-                re[k - off], im[k - off] = a, b
-            return _canon(re, im, den)
-        monos = self.monomials
-        return _mcanon(self.nvars, {monos[k - off]: pair for k, pair in tail.items()}, den)
+    def ext_column(self, idx: int, slot_images: Sequence[Polynomial]) -> tuple[Numerators, int]:
+        """Staging numerator map and denominator of an operator that acts slot by slot,
+        applied to the idx-th window monomial.
+
+        slot_images[s] is the operator's slot-s image of t^e, for e the
+        monomial's exponent in slot s (a univariate polynomial of degree
+        <= max_degree + 1); it stands in t_s, times the monomial's factors
+        outside slot s, and the slots add up (the Leibniz rule).  Two slots
+        meet only at the monomial itself (t_s^j with j its own exponent).
+        """
+        mono = self.monomials[idx]
+        at = self._ext_at
+        den = lcm(*[p._den for p in slot_images])
+        out: Numerators = {}
+        sa = sb = 0  # the coefficient of the monomial itself
+        for s, p in enumerate(slot_images):
+            w = den // p._den
+            e = mono[s]
+            head, tail = mono[:s], mono[s + 1:]
+            for j, (a, b) in enumerate(zip(p._re, p._im)):
+                if j == e:
+                    sa, sb = sa + a * w, sb + b * w
+                elif a or b:
+                    out[at[head + (j,) + tail]] = (a * w, b * w)
+        if sa or sb:
+            out[at[mono]] = (sa, sb)
+        return out, den
 
     def monomial(self, idx: int) -> "Polynomial | MultiPolynomial":
         """The idx-th window monomial as a polynomial; the window bounds its degree."""
         if self.nvars == 1:
-            return Polynomial._raw((0,) * idx + (1,), (0,) * (idx + 1), 1)
+            return _t_power(idx)
         return MultiPolynomial._raw(self.nvars, {self.monomials[idx]: (1, 0)}, 1)
 
     def missing_monomial(self, basis: SpanBasis) -> "Polynomial | MultiPolynomial | None":

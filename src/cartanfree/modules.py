@@ -61,6 +61,7 @@ from .polynomials import (
     P_ONE,
     P_ZERO,
     Polynomial,
+    _canon,
     constant,
     parse_polynomial,
     rank_one_rule,
@@ -680,8 +681,8 @@ def strip_t(g: Polynomial) -> Polynomial:
     """
     if g.is_zero:
         return g
-    if g.constant_term:
+    if g._re[0] or g._im[0]:
         raise NotInSubmoduleError(
             f"{g} has nonzero constant term, so it is not a multiple of t"
         )
-    return Polynomial._from_scalars(g.coeffs[1:])
+    return _canon(list(g._re[1:]), list(g._im[1:]), g._den)

@@ -33,9 +33,11 @@ forms are rules of the one rank-one kernel: ``apply_rank_one`` computes
 f(t - s) * e for an entry e of degree <= 1 (x . 1 for a module action) as
 a Taylor shift, a multiply by e and one canonicalisation, and ``shift``
 (e = 1) and ``mul_linear`` (s = 0, e = t - root) only build their rule
-with ``rank_one_rule``.  ``linalg.VectorWindow`` is the one reader of this
-storage outside this module: it stages probe vectors from the integers
-and rebuilds frontier polynomials with ``_canon`` and ``_mcanon``.
+with ``rank_one_rule``.  Two readers of this storage sit outside this
+module.  ``linalg.VectorWindow`` only reads it: it stages probe vectors
+and operator columns from the integers, and builds no polynomial back.
+``modules.strip_t`` divides by t by slicing the numerators and
+canonicalising with ``_canon``.
 
 Views.  ``coeffs`` (univariate), ``terms`` (multivariate), ``leading`` and
 ``constant_term`` are read-only GaussianRational views, built on each
@@ -451,6 +453,11 @@ def constant(c: ScalarLike) -> Polynomial:
 
 def monomial(k: int, c: ScalarLike = 1) -> Polynomial:
     return Polynomial([0] * k + [c])
+
+
+def _t_power(k: int) -> Polynomial:
+    """t^k straight from the integer storage; the caller bounds k (a window may pass the cap)."""
+    return Polynomial._raw((0,) * k + (1,), (0,) * (k + 1), 1)
 
 
 def shift(f: "Polynomial | MultiPolynomial", c: ScalarLike, var: int = 0):

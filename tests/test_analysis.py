@@ -32,7 +32,7 @@ from cartanfree import (
     submodule_invariance_check,
     tensor_irreducibility_probe,
 )
-from cartanfree.analysis import _closure
+from cartanfree.analysis import _OperatorColumns, _closure
 from cartanfree.linalg import SpanBasis, VectorWindow
 
 from conftest import oracle_rank
@@ -136,7 +136,7 @@ class TestSimplicityProbe:
         spec = OmegaLoop(2, 3, 0)
         window = VectorWindow(4)
         gens = spec.algebra.symbols_in_box(BOX2_LOOP)
-        basis = _closure(T, gens, spec.act_basis, window, None)
+        basis = _closure(T, gens, _OperatorColumns(spec, window).image, window, None)
         assert oracle_rank([list(r) for r in basis.rows]) == basis.rank == 4
 
     def test_generator_order_does_not_change_verdict(self):
@@ -145,8 +145,8 @@ class TestSimplicityProbe:
         gens = spec.algebra.symbols_in_box(BOX2_LOOP)
         shuffled = list(gens)
         random.Random(3).shuffle(shuffled)
-        a = _closure(parse_polynomial("t^2+1"), gens, spec.act_basis, window, None)
-        b = _closure(parse_polynomial("t^2+1"), shuffled, spec.act_basis, window, None)
+        a = _closure(parse_polynomial("t^2+1"), gens, _OperatorColumns(spec, window).image, window, None)
+        b = _closure(parse_polynomial("t^2+1"), shuffled, _OperatorColumns(spec, window).image, window, None)
         assert a.rank == b.rank
         assert a.rows == b.rows  # reduced echelon form is canonical
 
@@ -331,7 +331,8 @@ class TestProbeGuards:
         spec = OmegaLoop(2, 3, 1)
         gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
         with pytest.raises(MaxRoundsExceededError):
-            _closure(P_ONE, gens, spec.act_basis, VectorWindow(4), 1)
+            window = VectorWindow(4)
+            _closure(P_ONE, gens, _OperatorColumns(spec, window).image, window, 1)
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -363,8 +364,8 @@ class TestProbeGuards:
         gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
         (seed,) = (spec.vector(s) for s in seeds)
         with pytest.raises(MaxRoundsExceededError):
-            _closure(seed, gens, spec.act_basis, window, last_failing)
-        assert _closure(seed, gens, spec.act_basis, window, last_failing + 1).rank
+            _closure(seed, gens, _OperatorColumns(spec, window).image, window, last_failing)
+        assert _closure(seed, gens, _OperatorColumns(spec, window).image, window, last_failing + 1).rank
 
 
 class TestWindowBoundsDegrees:

@@ -1,8 +1,8 @@
 """A probe closure runs on integers: ``_closure`` makes no GaussianRational.
 
-Images enter the staging basis as numerator maps read from the polynomial
-storage, the eliminations keep Gaussian-integer rows, and the frontier
-polynomials are rebuilt from those rows.  Every route that builds a
+Images enter the staging basis as numerator maps combined from operator
+columns, which are read from the polynomial storage of the slot images,
+and the eliminations keep Gaussian-integer rows.  Every route that builds a
 GaussianRational is counted while one closure runs: ``_make`` and every
 module-level alias of it, ``_raw``, the constructor, and the
 ``object.__new__`` alias that the scalar operators call directly.  The
@@ -16,7 +16,7 @@ import pytest
 
 import cartanfree.scalars as scalars
 from cartanfree import OmegaLoop, P_ONE, ProbeConfig, T, TensorOmega
-from cartanfree.analysis import _closure
+from cartanfree.analysis import _OperatorColumns, _closure
 from cartanfree.linalg import VectorWindow
 from cartanfree.scalars import GaussianRational
 
@@ -64,7 +64,7 @@ def test_closure_builds_no_gaussian_rational(monkeypatch, spec, D, seed, rank):
     gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
     seed = spec.vector(seed)
     built = _count_scalar_builds(monkeypatch)
-    closure = _closure(seed, gens, spec.act_basis, window)
+    closure = _closure(seed, gens, _OperatorColumns(spec, window).image, window)
     assert closure.rank == rank
     assert built[0] == 0
 

@@ -401,8 +401,9 @@ class TestPolynomialStorage:
         f, g = Polynomial(xs), Polynomial(ys)
         results = [f, g, f + g, f - g, g - f, f * g, -f, f - f, f.scale(c), f.shift(c), f.mul_linear(c)]
         results += [f.divide_linear(c)[0], parse_polynomial(str(f)), Polynomial(list(f.coeffs) + [0])]
-        results += [VectorWindow(8).window_poly(VectorWindow(8).vector_of(f))]
+        results += [Polynomial(VectorWindow(8).vector_of(f))]  # the window round trip
         assert all(canonical(p) for p in results)
+        assert results[-1] == f
 
     @given(coeff_lists)
     def test_views_match_the_reference(self, xs):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanfree import MultiPolynomial, SpanBasis, VectorWindow, parse_polynomial, scalar
+from cartanfree import MultiPolynomial, Polynomial, SpanBasis, VectorWindow, parse_polynomial, scalar
 from cartanfree.errors import DegreeOverflowError, DimensionMismatchError
 from cartanfree.scalars import ZERO, GaussianRational
 
@@ -133,8 +133,12 @@ class TestVectorization:
         assert len(v) == w.ext_dim == w.n_outside + w.dim
         assert any(v[: w.n_outside])
         assert v[w.n_outside :] == w.vector_of(f)
-        assert w.window_poly(v[w.n_outside :]) == f
-        assert w.window_poly({k: x for k, x in num.items() if k >= w.n_outside}, den) == f
+        tail = v[w.n_outside :]
+        assert (Polynomial(tail) if nvars == 1 else MultiPolynomial(nvars, dict(zip(w.monomials, tail)))) == f
+        fnum, fden = w.ext_vector(f)  # the inside part over den is f's own staging map
+        inside = {k: x for k, x in num.items() if k >= w.n_outside}
+        assert inside.keys() == fnum.keys()
+        assert all(inside[k][0] * fden == a * den and inside[k][1] * fden == b * den for k, (a, b) in fnum.items())
 
     def test_missing_monomial_witness(self):
         w = VectorWindow(3, 1)

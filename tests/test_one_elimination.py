@@ -11,7 +11,7 @@ import pytest
 
 import cartanfree.analysis as analysis
 from cartanfree import IndexBox, OmegaLoop, P_ONE, ProbeConfig, T, TensorOmega, composition_series_check
-from cartanfree.analysis import _closure
+from cartanfree.analysis import _OperatorColumns, _closure
 from cartanfree.linalg import SpanBasis, VectorWindow
 
 BOX1 = IndexBox((-1, 1), (-1, 1))
@@ -37,9 +37,11 @@ def test_closure_inserts(monkeypatch, spec, D, seed):
         inserts[self.ncols] += 1
         return real_insert(self, v)
 
-    def act(g, f):
+    columns = _OperatorColumns(spec, window)
+
+    def act(g, row):
         nonlocal images
-        image = spec.act_basis(g, f)
+        image = columns.image(g, row)
         images += bool(image)
         return image
 

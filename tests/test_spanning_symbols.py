@@ -21,7 +21,7 @@ from cartanfree import (
     parse_polynomial,
     scalar,
 )
-from cartanfree.analysis import _closure
+from cartanfree.analysis import _OperatorColumns, _closure
 from cartanfree.linalg import SpanBasis, VectorWindow
 
 BOX2_LOOP = IndexBox((-2, 2), (-2, 2))
@@ -62,8 +62,8 @@ def test_closure_under_subset_equals_closure_under_all(label, spec, box, D, seed
     window = VectorWindow(D, spec.nvars)
     for text in seeds:
         seed = spec.vector(parse_polynomial(text))
-        full = _closure(seed, syms, spec.act_basis, window, None)
-        sub = _closure(seed, kept, spec.act_basis, window, None)
+        full = _closure(seed, syms, _OperatorColumns(spec, window).image, window, None)
+        sub = _closure(seed, kept, _OperatorColumns(spec, window).image, window, None)
         assert sub.rows == full.rows
         assert sub.pivots == full.pivots
 
