@@ -30,7 +30,7 @@ in truncated Block algebras).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
@@ -377,8 +377,9 @@ class _BlockBase(Algebra):
             )
 
     def _coeff(self, m: int, i: int, n: int, j: int) -> GaussianRational:
-        # n(i+q) - m(j+q) = (n*i - m*j) + (n - m) q
-        return self.q.mul_int(n - m) + GaussianRational.from_int(n * i - m * j)
+        # n(i+q) - m(j+q) = ((n*i - m*j) d + (n - m)(a + b i)) / d for q = (a + b i)/d
+        q = self.q
+        return GaussianRational._make((n * i - m * j) * q.d + (n - m) * q.a, (n - m) * q.b, q.d)
 
     def symbols_in_box(self, box: IndexBox) -> list[BasisSymbol]:
         second = box.second if box.second is not None else box.first
@@ -670,7 +671,13 @@ class JacobiReport:
     antisymmetry).  Both passes read a table of brackets that
     ``jacobi_check`` builds for the one call and drops on return;
     ``brackets_evaluated`` is its number of entries, which is the number of
-    ``bracket_pairs`` calls the sweep made.
+    ``bracket_pairs`` calls the sweep made.  ``pairs_checked`` and
+    ``triples_checked`` count every pair and triple of the box;
+    ``sums_evaluated`` counts the cyclic sums actually formed.  A triple
+    through a dead symbol (one whose row is empty at every box column and
+    whose column is empty in every row of the table) or whose three
+    brackets are all empty has a sum of zero by construction, so it is
+    counted as checked without one being formed.
     """
 
     algebra: Algebra
@@ -678,11 +685,8 @@ class JacobiReport:
     pairs_checked: int = 0
     triples_checked: int = 0
     brackets_evaluated: int = 0
-    violations: list[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.violations is None:
-            self.violations = []
+    sums_evaluated: int = 0
+    violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -696,6 +700,7 @@ class JacobiReport:
             "pairs_checked": self.pairs_checked,
             "triples_checked": self.triples_checked,
             "brackets_evaluated": self.brackets_evaluated,
+            "sums_evaluated": self.sums_evaluated,
             "violations": self.violations,
             "ok": self.ok,
         }
@@ -728,6 +733,18 @@ def jacobi_check(algebra: Algebra, box: IndexBox = DEFAULT_BOX) -> JacobiReport:
     once.  Each term of a cyclic sum is a product of two numerators over
     D^2, so the sum is an exact integer sum over D^2; only a nonzero one is
     turned back into scalars, to write its violation.
+
+    The triple pass reads the table through column views, cols[k][s] =
+    [s, k] for each box symbol k, so each outer bracket of a cyclic sum is
+    one list lookup.  It runs over live symbols only.  A box symbol x is
+    dead when its row is empty at every box column and its column is
+    empty in every row, box rows and reached rows alike: then [x, y],
+    [z, x] and every [[y, z], x] are empty, and so is each cyclic sum
+    through x.  A triple whose three brackets [x, y], [y, z], [z, x] are
+    all empty is skipped too.  The rule reads only the table, never
+    ``declared_central`` or the letter of a symbol; for the loop algebra
+    at box (-4..4)^2 it drops the nine C(j), leaving 85,320 of the
+    117,480 triples.
     """
     syms = algebra.symbols_in_box(box)
     n = len(syms)
@@ -791,18 +808,26 @@ def jacobi_check(algebra: Algebra, box: IndexBox = DEFAULT_BOX) -> JacobiReport:
                 y = syms[b]
                 violations.append(f"[{x},{y}] + [{y},{x}] != 0")
     report.pairs_checked = n * (n - 1) // 2
-    # cyclic Jacobi sum on unordered triples of distinct symbols
+    # cyclic Jacobi sum on unordered triples of distinct live symbols
+    cols = [[row[k] for row in table] for k in range(n)]  # cols[k][s] = [s, k]
+    live = [k for k in range(n) if any(table[k]) or any(cols[k])]
     den2 = den * den
-    for a in range(n):
-        ra = table[a]
-        for b in range(a + 1, n):
-            rb = table[b]
-            xy = ra[b]
-            for c in range(b + 1, n):
+    sums = 0
+    for ia, a in enumerate(live):
+        ca = cols[a]
+        for ib in range(ia + 1, len(live)):
+            b = live[ib]
+            rb, cb = table[b], cols[b]
+            xy = table[a][b]
+            for c in live[ib + 1:]:
+                yz, zx = rb[c], ca[c]
+                if not (xy or yz or zx):
+                    continue
+                sums += 1
                 acc: dict[int, tuple[int, int]] = {}
-                for inner, z in ((xy, c), (rb[c], a), (table[c][a], b)):
+                for inner, col in ((xy, cols[c]), (yz, ca), (zx, cb)):
                     for s, re1, im1 in inner:
-                        for t, re2, im2 in table[s][z]:
+                        for t, re2, im2 in col[s]:
                             re = re1 * re2 - im1 * im2
                             im = re1 * im2 + im1 * re2
                             p = acc.get(t)
@@ -810,16 +835,21 @@ def jacobi_check(algebra: Algebra, box: IndexBox = DEFAULT_BOX) -> JacobiReport:
                                 re += p[0]
                                 im += p[1]
                             acc[t] = (re, im)
+                for re, im in acc.values():
+                    if re or im:
+                        break
+                else:
+                    continue
                 nonzero = {
                     symbols[t]: GaussianRational._make(re, im, den2)
                     for t, (re, im) in acc.items()
                     if re or im
                 }
-                if nonzero:
-                    violations.append(
-                        f"jacobi({syms[a]},{syms[b]},{syms[c]}) = "
-                        + str(AlgebraElement._raw(algebra, nonzero))
-                    )
+                violations.append(
+                    f"jacobi({syms[a]},{syms[b]},{syms[c]}) = "
+                    + str(AlgebraElement._raw(algebra, nonzero))
+                )
+    report.sums_evaluated = sums
     report.triples_checked = n * (n - 1) * (n - 2) // 6
     return report
 

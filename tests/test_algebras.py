@@ -23,6 +23,8 @@ from cartanfree import (
     scalar,
     virasoro_embedding_check,
 )
+from cartanfree.algebras import _BlockBase
+from cartanfree.analysis import GRID_Q
 from cartanfree.errors import (
     ExcludedSymbolError,
     KindMismatchError,
@@ -30,6 +32,7 @@ from cartanfree.errors import (
     ParseError,
     TruncationRangeError,
 )
+from test_jacobi import GAUSSIAN_Q
 
 
 class TestSymbolValidation:
@@ -239,6 +242,22 @@ class TestExclusionInvariant:
         assert cls(q, *trunc).bracket_pairs(L(1, 0), L(-1, 1)) == ()
         with pytest.raises(ExcludedSymbolError, match=r"produced excluded symbol L\(0,1\)"):
             Broken(q, *trunc).bracket_pairs(L(1, 0), L(-1, 1))
+
+
+class TestBlockCoefficient:
+    @pytest.mark.parametrize("q", [str(q) for q in GRID_Q] + list(GAUSSIAN_Q))
+    def test_matches_scalar_arithmetic(self, q):
+        # _coeff builds n(i+q) - m(j+q) in one step; it must equal the value
+        # computed with scalar arithmetic, in the same canonical (a, b, d)
+        q = scalar(q)
+        alg = BlockHat(q)
+        for m in range(-4, 5):
+            for n in range(-4, 5):
+                for i in range(5):
+                    for j in range(5):
+                        got = _BlockBase._coeff(alg, m, i, n, j)
+                        want = scalar(n) * (scalar(i) + q) - scalar(m) * (scalar(j) + q)
+                        assert (got.a, got.b, got.d) == (want.a, want.b, want.d), (m, i, n, j)
 
 
 class TestElementParsing:

@@ -111,6 +111,14 @@ class TestChecks:
         assert code == 0 and "PASS" in out
         assert out == "jacobi loop box i=-2..2,j=-2..2: 435 pairs, 4060 triples -> PASS\n"
 
+    def test_jacobi_json_reports_sums_evaluated(self, capsys):
+        code, out, _ = run(capsys, "check", "jacobi", "--algebra", "loop", "--box", "2", "--json")
+        assert code == 0
+        body = json.loads(out)
+        assert body["triples_checked"] == 4060
+        # the five C(j) are dead: at most C(25, 3) sums over the L(i,j)
+        assert 0 < body["sums_evaluated"] <= 2300
+
     def test_module_axioms(self, capsys):
         code, out, _ = run(
             capsys, "check", "module", "--algebra", "block", "--q", "2",

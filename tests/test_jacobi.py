@@ -59,6 +59,54 @@ class BrokenVirasoro(Virasoro):
         return out
 
 
+class LiveCentreLoop(LoopVirasoro):
+    """Loop-Virasoro with a one-sided [C(1), L(1,0)] = L(1,1).
+
+    C(1)'s column stays empty, so only its row at a box column makes it live.
+    """
+
+    def bracket_pairs(self, x, y):
+        if x == C(1) and y == L(1, 0):
+            return ((L(1, 1), ONE),)
+        return super().bracket_pairs(x, y)
+
+
+class ReachedColumnVirasoro(Virasoro):
+    """Virasoro with [L(3), C] = L(1); a box lists C last, or first.
+
+    At box -2..2, C's row is empty and so is its column in every box row;
+    L(3) is a reached row ([L(1), L(2)] = L(3)), so only that row's entry
+    in C's column makes C live.  For the triple of L(1), L(2) and C, only
+    [L(1), L(2)] is nonempty: it is the triple's first bracket when C is
+    last, and its second when C is first.
+    """
+
+    def __init__(self, c_first: bool = False):
+        self.c_first = c_first
+
+    def symbols_in_box(self, box):
+        syms = super().symbols_in_box(box)
+        return [syms[-1]] + syms[:-1] if self.c_first else syms
+
+    def bracket_pairs(self, x, y):
+        if x == L(3) and y == C():
+            return ((L(1), ONE),)
+        return super().bracket_pairs(x, y)
+
+
+class ZxOnlyBlockHat(BlockHat):
+    """BlockHat(-1), whose L(0,1) is central, with a one-sided [L(0,3), L(0,1)] = L(0,4).
+
+    For x = L(-1,i), y = L(0,1), z = L(1,3-i) the brackets [x,y] and [y,z]
+    are empty, so the cyclic sum is [[z,x],y] alone.
+    """
+
+    def bracket_pairs(self, x, y):
+        if x == L(0, 3) and y == L(0, 1):
+            return ((L(0, 4), ONE),)
+        return super().bracket_pairs(x, y)
+
+
 def naive_jacobi(algebra, box):
     """(pairs, triples, violations) from element brackets, no shortcuts."""
     syms = algebra.symbols_in_box(box)
@@ -184,3 +232,62 @@ def test_sweep_matches_naive_reference(algebra, box):
     report = jacobi_check(algebra, box)
     assert report.ok
     assert report_tuple(report) == naive_jacobi(algebra, box)
+
+
+class TestSkippedSums:
+    """The triple pass forms no sum through a dead symbol or over three empty brackets.
+
+    A symbol with any table entry is live, and a triple with any nonempty
+    bracket gets its sum.
+    """
+
+    def test_centre_live_by_its_row(self):
+        algebra, box = LiveCentreLoop(), IndexBox((-2, 2), (-1, 1))
+        report = jacobi_check(algebra, box)
+        assert report_tuple(report) == naive_jacobi(algebra, box)
+        # the last three sums pass through C(1) directly, the two before it
+        # through the C(1) term of [L(2,1-l), L(-2,l)]
+        assert report.violations == [
+            "[L(1,0),C(1)] + [C(1),L(1,0)] != 0",
+            "jacobi(L(-2,0),L(1,0),L(2,1)) = 1/2*L(1,1)",
+            "jacobi(L(-2,1),L(1,0),L(2,0)) = 1/2*L(1,1)",
+            "jacobi(L(1,0),L(2,-1),C(1)) = L(3,0)",
+            "jacobi(L(1,0),L(2,0),C(1)) = L(3,1)",
+            "jacobi(L(1,0),L(2,1),C(1)) = L(3,2)",
+        ]
+
+    @pytest.mark.parametrize("c_first,violation", [
+        (False, "jacobi(L(1),L(2),C) = L(1)"),
+        (True, "jacobi(C,L(1),L(2)) = L(1)"),
+    ], ids=["c-last", "c-first"])
+    def test_centre_live_by_a_reached_row(self, c_first, violation):
+        algebra, box = ReachedColumnVirasoro(c_first), IndexBox((-2, 2))
+        report = jacobi_check(algebra, box)
+        assert report_tuple(report) == naive_jacobi(algebra, box)
+        assert report.violations == [violation]
+
+    def test_sum_from_the_last_bracket_alone(self):
+        algebra, box = ZxOnlyBlockHat(scalar(-1)), IndexBox((-1, 1), (0, 3))
+        report = jacobi_check(algebra, box)
+        assert report_tuple(report) == naive_jacobi(algebra, box)
+        assert report.violations == [
+            "[L(0,1),L(0,3)] + [L(0,3),L(0,1)] != 0",
+            "jacobi(L(-1,0),L(0,1),L(1,3)) = -1*L(0,4)",
+            "jacobi(L(-1,1),L(0,1),L(1,2)) = -1*L(0,4)",
+            "jacobi(L(-1,2),L(0,1),L(1,1)) = -1*L(0,4)",
+            "jacobi(L(-1,3),L(0,1),L(1,0)) = -1*L(0,4)",
+        ]
+
+    def test_loop_box_4_counts(self):
+        report = jacobi_check(LOOP, IndexBox((-4, 4), (-4, 4)))
+        assert report.ok
+        assert report.triples_checked == 117480
+        # the nine C(j) are dead: at most C(81, 3) sums over the L(i,j)
+        assert 0 < report.sums_evaluated <= 85320
+        assert report.as_dict()["sums_evaluated"] == report.sums_evaluated
+
+    def test_virasoro_box_4_counts(self):
+        report = jacobi_check(VIRASORO, IndexBox((-4, 4)))
+        assert report.ok and report.triples_checked == 120
+        # C is dead: at most C(9, 3) sums over L(-4)..L(4)
+        assert 0 < report.sums_evaluated <= 84
