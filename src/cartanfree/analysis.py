@@ -35,6 +35,18 @@ row's image is the integer combination of its columns.  The certificate
 sweep and ``submodule_invariance_check`` do not use the columns: they
 apply every box generator with ``act_basis``, so a certified verdict
 rests on an independent computation.
+
+``module_axiom_check`` uses the same operator classes
+(``ModuleSpec.operator_classes``) for its nested actions, and still
+evaluates every (x, y, f) identity exactly.  Single actions x.f are
+direct.  A class member acts as a Q(i) combination of its class's
+representatives, and an audit admits it only if its direct x.f equals that
+combination of their images on every test vector; a member that fails
+becomes a representative of its own.  By bilinearity of the rank-one
+kernel in its entry, x.(y.f) - y.(x.f) is then the weighted sum of the
+commutators g.(h.f) - h.(g.f), computed once per pair of representatives,
+so each identity is one integer residual.  A violation's message comes
+from the direct recomputation of its two sides.
 """
 
 from __future__ import annotations
@@ -63,7 +75,7 @@ from .modules import (
     strip_t,
 )
 from .polynomials import P_ONE, Polynomial, T, _t_power, monomial, parse_polynomial
-from .scalars import GaussianRational, I, scalar
+from .scalars import GaussianRational, I, ONE, ZERO, scalar
 
 __all__ = [
     "ProbeConfig",
@@ -424,12 +436,21 @@ def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
 
 @dataclass
 class AxiomReport:
+    """Outcome of ``module_axiom_check``.
+
+    ``representatives`` counts the symbols that acted through their own
+    operator (box-symbol class representatives, plus any symbol the audit
+    demoted), and ``applications`` the ``act_basis`` calls the sweep made.
+    """
+
     spec: dict
     box: IndexBox
     index_names: tuple[str, ...]
     pairs_checked: int = 0
     identities_checked: int = 0
     violations: list[str] = field(default_factory=list)
+    representatives: int = 0
+    applications: int = 0
 
     @property
     def ok(self) -> bool:
@@ -444,6 +465,8 @@ class AxiomReport:
             "identities_checked": self.identities_checked,
             "violations": self.violations,
             "ok": self.ok,
+            "representatives": self.representatives,
+            "applications": self.applications,
         }
 
     def summary(self) -> str:
@@ -454,12 +477,117 @@ class AxiomReport:
         )
 
 
+def _stacked(images: Sequence) -> tuple[dict, int]:
+    """The images of the test vectors as one integer vector over their common denominator.
+
+    Entry (k, monomial) holds the numerators (re, im) of that monomial's
+    coefficient in the k-th image.
+    """
+    den = lcm(*[p._den for p in images])
+    out: dict = {}
+    for k, p in enumerate(images):
+        m = den // p._den
+        if isinstance(p, Polynomial):
+            for e, (a, b) in enumerate(zip(p._re, p._im)):
+                if a or b:
+                    out[k, e] = (a * m, b * m)
+        else:
+            for e, (a, b) in p._num.items():
+                out[k, e] = (a * m, b * m)
+    return out, den
+
+
+def _failing(terms: Sequence[tuple[int, int, int, tuple[dict, int]]]) -> list[int]:
+    """The test vectors k at which the sum of c * v over terms is not zero.
+
+    A term (ca, cb, cd, v) is the scalar c = (ca + cb*i)/cd, cd > 0, and a
+    stacked vector v.  One integer pass over the lcm of the terms'
+    denominators; no polynomial is built.  Entry (k, monomial) of the sum
+    is a positive integer multiple of the k-th residual's coefficient, so
+    the sum vanishes at k exactly when the k-th residual does.
+    """
+    big = lcm(*[cd * den for _, _, cd, (_, den) in terms])
+    acc: dict = {}
+    get = acc.get
+    for ca, cb, cd, (num, den) in terms:
+        m = big // (cd * den)
+        ca, cb = ca * m, cb * m
+        for key, (a, b) in num.items():
+            x = get(key)
+            if x is None:
+                acc[key] = (a * ca - b * cb, a * cb + b * ca)
+            else:
+                acc[key] = (x[0] + a * ca - b * cb, x[1] + a * cb + b * ca)
+    return sorted({k for (k, _), (a, b) in acc.items() if a or b})
+
+
+def _class_weights(reps: list, members: list) -> list[tuple[BasisSymbol, list]]:
+    """Each member of an operator class as [(representative, weight)], from the lead vectors.
+
+    The representatives' lead vectors are independent and span each
+    member's, so one exact elimination of the rows (lead_g | e_g) solves
+    lead_x = sum w_g * lead_g for every member at once: the reduced row
+    with pivot p carries the coefficients of the unit vector at p.  In
+    one variable this is w = lead_x / lead_g; a class with no
+    representative (symbols acting as 0) gives empty combinations.
+    """
+    if not reps:
+        return [(x, []) for x, _ in members]
+    n, r = len(reps[0][1]), len(reps)
+    aug = SpanBasis(n + r)
+    for k, (_, leads) in enumerate(reps):
+        aug.insert(leads + [ONE if c == k else ZERO for c in range(r)])
+    rows = list(zip(aug.pivots, aug.rows))
+    out = []
+    for x, leads in members:
+        w = []
+        for k, (g, _) in enumerate(reps):
+            c = ZERO
+            for p, row in rows:
+                if leads[p] and row[n + k]:
+                    c = c + leads[p] * row[n + k]
+            if c:
+                w.append((g, c))
+        out.append((x, w))
+    return out
+
+
 def module_axiom_check(
     spec: ModuleSpec,
     box: IndexBox = IndexBox((-2, 2), (-2, 2)),
     polys: Iterable | None = None,
 ) -> AxiomReport:
-    """Verify [x,y].f = x.(y.f) - y.(x.f) for all box pairs and test vectors."""
+    """Verify [x,y].f = x.(y.f) - y.(x.f) for all box pairs and test vectors.
+
+    Every (x, y, f) identity is evaluated exactly, through the operator
+    classes of the box (``ModuleSpec.operator_classes``):
+
+    * Single actions are direct: x.f = ``act_basis(x, f)`` for every box
+      symbol, every bracket symbol reached and every test vector.
+    * Audit.  A class member x acts as sum_g w_g * g over its class's
+      representatives g (weights from the lead vectors).  It joins that
+      combination only if its direct x.f equals sum_g w_g * g.f exactly
+      for every test vector; otherwise it becomes a representative of its
+      own, acting through ``act_basis``.  A broken ``act_basis`` on one
+      symbol is thus still applied directly.
+    * Bilinearity.  The rank-one kernel is linear in its entry, so with
+      x = sum_g w_(x,g) g and y = sum_h w_(y,h) h,
+      x.(y.f) - y.(x.f) = sum w_(x,g) w_(y,h) K(g, h, f), where
+      K(g, h, f) = g.(h.f) - h.(g.f) is computed once per unordered pair
+      of distinct representatives and test vector, with ``act_basis``.
+      Each identity is then one exact integer residual over a common
+      denominator: that sum minus sum_z c_z z.f, for [x,y] = sum_z c_z z.
+    * Messages.  Only a nonzero residual is reported, and its message is
+      built by the direct recomputation (x.(y.f) - y.(x.f) against
+      [x,y].f, as polynomials); if that recomputation finds no violation,
+      the two paths disagree and a RuntimeError is raised.
+
+    The argument needs ``act_basis`` to be linear in f, as a module action
+    is and the rank-one rule is.  An ``act_basis`` that is not linear
+    (say, one that adds a constant) still fails the check, with messages
+    from the direct recomputation, but may fail fewer identities than a
+    sweep that applies every nested action.
+    """
     if polys is None:
         polys = DEFAULT_SEEDS
     vectors = [spec.vector(parse_polynomial(f) if isinstance(f, str) else f) for f in polys]
@@ -467,45 +595,89 @@ def module_axiom_check(
         raise ValueError("need at least one test vector")
     syms = spec.algebra.symbols_in_box(box)
     report = AxiomReport(spec.as_dict(), box, spec.algebra.index_names)
-    # cache single applications: the inner x.(y.f) terms are fresh each time,
-    # but y.f, x.f and the bracket-symbol images recur constantly
+    nv = len(vectors)
     act = spec.act_basis
-    cache: dict[tuple[BasisSymbol, int], object] = {}
+    images: dict[BasisSymbol, list] = {}  # s -> [s.f for each test vector]
+    stacks: dict[BasisSymbol, tuple] = {}  # the same images, ``_stacked``
 
-    def act_cached(s: BasisSymbol, f_idx: int):
-        key = (s, f_idx)
-        hit = cache.get(key)
-        if hit is None:
-            hit = act(s, vectors[f_idx])
-            cache[key] = hit
-        return hit
+    def image(s: BasisSymbol) -> None:
+        if s not in images:
+            row = images[s] = [act(s, f) for f in vectors]
+            stacks[s] = _stacked(row)
+            report.applications += nv
+
+    # representatives act through their own operator; every box symbol is a
+    # combination [(representative index, (a, b, d))] of them, with weight (a + b*i)/d
+    reps: list[BasisSymbol] = []
+    comb: dict[BasisSymbol, list[tuple[int, tuple[int, int, int]]]] = {}
+
+    def own(s: BasisSymbol) -> None:
+        comb[s] = [(len(reps), (1, 0, 1))]
+        reps.append(s)
+
+    for cls_reps, members in spec.operator_classes(syms):
+        for g, _ in cls_reps:
+            own(g)
+            image(g)
+        for x, w in _class_weights(cls_reps, members):
+            image(x)
+            w = [(comb[g][0][0], (c.a, c.b, c.d)) for g, c in w]
+            if _failing([(*c, stacks[reps[g]]) for g, c in w] + [(-1, 0, 1, stacks[x])]):
+                own(x)
+            else:
+                comb[x] = w
+    report.representatives = len(reps)
+
+    nested: dict[tuple[int, int], tuple] = {}  # (g, h), g < h -> K(g, h, f) for every f, stacked
+    for b, g in enumerate(reps):
+        for c in range(b + 1, len(reps)):
+            h = reps[c]
+            gf, hf = images[g], images[h]
+            nested[b, c] = _stacked([act(g, hf[k]) - act(h, gf[k]) for k in range(nv)])
+            report.applications += 2 * nv
 
     bp = spec.algebra.bracket_pairs
-    for a in range(len(syms)):
-        x = syms[a]
-        for b in range(a + 1, len(syms)):
-            y = syms[b]
+    for a, x in enumerate(syms):
+        cx = comb[x]
+        for y in syms[a + 1:]:
             pairs = bp(x, y)
             report.pairs_checked += 1
-            for f_idx in range(len(vectors)):
-                report.identities_checked += 1
-                yf = act_cached(y, f_idx)
-                xf = act_cached(x, f_idx)
-                rhs = act(x, yf) - act(y, xf)
-                lhs = None
-                for s, c in pairs:
-                    term = act_cached(s, f_idx) * c
-                    lhs = term if lhs is None else lhs + term
-                if lhs is None:
-                    if rhs:
-                        report.violations.append(
-                            f"[{x},{y}].{vectors[f_idx]} = 0 but commutator gives {rhs}"
-                        )
-                elif lhs != rhs:
-                    report.violations.append(
-                        f"[{x},{y}].{vectors[f_idx]}: bracket action {lhs} != commutator {rhs}"
-                    )
+            report.identities_checked += nv
+            # the zero images (central symbols, commuting representatives) drop out
+            sides = []
+            for g, (ua, ub, ud) in cx:
+                for h, (va, vb, vd) in comb[y]:
+                    if g != h:
+                        sign, comm = (1, nested[g, h]) if g < h else (-1, nested[h, g])
+                        if comm[0]:
+                            sides.append((sign * (ua * va - ub * vb), sign * (ua * vb + ub * va), ud * vd, comm))
+            for s, c in pairs:
+                image(s)
+                if stacks[s][0]:
+                    sides.append((-c.a, -c.b, c.d, stacks[s]))
+            for k in _failing(sides):
+                report.violations.append(_axiom_violation(spec, x, y, k, vectors, pairs, images, report))
     return report
+
+
+def _axiom_violation(spec, x, y, k, vectors, pairs, images, report) -> str:
+    """The message for a failed identity, from the direct recomputation."""
+    act = spec.act_basis
+    rhs = act(x, images[y][k]) - act(y, images[x][k])
+    report.applications += 2
+    lhs = None
+    for s, c in pairs:
+        term = images[s][k] * c
+        lhs = term if lhs is None else lhs + term
+    if lhs is None:
+        if rhs:
+            return f"[{x},{y}].{vectors[k]} = 0 but commutator gives {rhs}"
+    elif lhs != rhs:
+        return f"[{x},{y}].{vectors[k]}: bracket action {lhs} != commutator {rhs}"
+    raise RuntimeError(
+        f"internal error: the class-representative residual of [{x},{y}].{vectors[k]} "
+        "is nonzero, but the direct recomputation finds no violation"
+    )
 
 
 # ---------------------------------------------------------------------------

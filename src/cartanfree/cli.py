@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .algebras import (
@@ -119,7 +120,13 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    ``parse_args`` never changes the tree, so one build serves every
+    ``main`` call of a process; importing this module builds nothing.
+    """
     top = argparse.ArgumentParser(
         prog="cartanfree",
         description=__doc__,

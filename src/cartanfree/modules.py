@@ -92,11 +92,18 @@ class ModuleSpec:
     ``entry`` and ``params``; the rule is memoized once per symbol as
     (shift, root, lead, kernel).  (shift, root, lead) factor it with
     x . 1 = lead * (t - root), or root None when x . 1 is the constant lead;
-    ``spanning_symbols`` compares them.  kernel keeps s_x and x . 1 as
+    ``operator_classes`` compares them.  kernel keeps s_x and x . 1 as
     integer numerators (``polynomials.rank_one_rule``), and ``act_basis``
     runs it as one fused integer pass, a Taylor shift, a multiply by the
     degree-<=1 entry and one canonicalisation, with no scalar objects in
     between.  ``TensorOmega`` runs the same kernel in each tensor slot.
+
+    One grouping serves both users of this factoring:
+    ``operator_classes`` groups symbols by every slot's (shift, root) and
+    keeps, per class, the symbols with independent lead vectors as its
+    representatives.  The closure probe acts with the representatives
+    (``spanning_symbols``), and ``analysis.module_axiom_check`` applies
+    nested actions to pairs of representatives only.
     """
 
     family: str = ""
@@ -140,32 +147,40 @@ class ModuleSpec:
         """The specs whose rules act on the tensor slots, in slot order."""
         return (self,)
 
-    def spanning_symbols(self, syms: Sequence[BasisSymbol]) -> list[BasisSymbol]:
-        """A subset of syms whose operators span the operators of all of syms.
+    def operator_classes(self, syms: Sequence[BasisSymbol]) -> list[tuple[list, list]]:
+        """syms grouped by their slot operators, as (representatives, members) per class.
 
         In slot k a symbol acts as lead_k * O_k, where the slot operator O_k
         is fixed by (shift_k, root_k).  Symbols sharing every slot's
-        (shift, root) therefore act as lead-weighted sums of the same slot
-        operators: one whose lead vector depends linearly on those of the
-        symbols kept before it acts as the same combination of their
-        operators, and a symbol that acts as 0 in every slot is dropped.
-        The image of a vector under any symbol of syms lies in the span of
-        its images under the returned symbols.
+        (shift, root) form one class: they act as lead-weighted sums of the
+        same slot operators.  A symbol whose lead vector is independent of
+        those of the representatives kept before it becomes one; any other
+        is a member, acting as the combination of the representatives'
+        operators whose lead vectors combine to its own.  The symbols that
+        act as 0 in every slot form a class with no representative.  Both
+        lists hold (symbol, lead vector) pairs in the order of syms.
         """
         slots = self._slots()
-        groups: dict[tuple, SpanBasis] = {}
-        kept = []
+        classes: dict[tuple, tuple[SpanBasis, list, list]] = {}
         for sym in syms:
             rules = [slot._rule(sym) for slot in slots]
-            if not any(rules):
-                continue
             key = tuple(rule[:2] if rule else None for rule in rules)
-            leads = groups.get(key)
-            if leads is None:
-                leads = groups[key] = SpanBasis(len(slots))
-            if leads.insert([rule[2] if rule else ZERO for rule in rules]):
-                kept.append(sym)
-        return kept
+            leads = [rule[2] if rule else ZERO for rule in rules]
+            cls = classes.get(key)
+            if cls is None:
+                cls = classes[key] = (SpanBasis(len(slots)), [], [])
+            (cls[1] if any(rules) and cls[0].insert(leads) else cls[2]).append((sym, leads))
+        return [(reps, members) for _, reps, members in classes.values()]
+
+    def spanning_symbols(self, syms: Sequence[BasisSymbol]) -> list[BasisSymbol]:
+        """The representatives of ``operator_classes``, in the order of syms.
+
+        Every other symbol of syms acts as a combination of its class's
+        representatives, or as 0, so the image of a vector under any symbol
+        of syms lies in the span of its images under the returned symbols.
+        """
+        reps = {sym for cls_reps, _ in self.operator_classes(syms) for sym, _ in cls_reps}
+        return [sym for sym in syms if sym in reps]
 
     def vector(self, f):
         """f as a vector of this module; KindMismatchError when it is none.
@@ -587,7 +602,13 @@ def _shift_amount(alg: Algebra, sym: BasisSymbol) -> GaussianRational:
 
 
 def _finish(deriv: Derivation, table: ActionTable, spec: ModuleSpec) -> Derivation:
-    """Cross-check all entries against the closed form, then the brackets."""
+    """Cross-check all entries against the closed form, then the brackets.
+
+    The bracket phase is the module-axiom sweep of the derived spec on 1
+    (``analysis.module_axiom_check`` with the one test vector 1): once
+    every entry equals the spec's x . 1, its identities on 1 are exactly
+    the bracket constraints the table supports.
+    """
     from .analysis import module_axiom_check  # analysis builds on this module
 
     for sym in sorted(table.entries, key=_sym_sort_key):

@@ -33,9 +33,11 @@ forms are rules of the one rank-one kernel: ``apply_rank_one`` computes
 f(t - s) * e for an entry e of degree <= 1 (x . 1 for a module action) as
 a Taylor shift, a multiply by e and one canonicalisation, and ``shift``
 (e = 1) and ``mul_linear`` (s = 0, e = t - root) only build their rule
-with ``rank_one_rule``.  Two readers of this storage sit outside this
+with ``rank_one_rule``.  Three readers of this storage sit outside this
 module.  ``linalg.VectorWindow`` only reads it: it stages probe vectors
 and operator columns from the integers, and builds no polynomial back.
+``analysis.module_axiom_check`` only reads it too: it stacks the images
+of its test vectors as integers and decides each identity on them.
 ``modules.strip_t`` divides by t by slicing the numerators and
 canonicalising with ``_canon``.
 

@@ -126,6 +126,16 @@ class TestChecks:
         )
         assert code == 0
 
+    def test_module_axioms_json_reports_representatives_and_applications(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "module", "--algebra", "loop", "--lambda", "2", "--mu", "3",
+            "--alpha", "1", "--box", "2", "--json",
+        )
+        assert code == 0
+        body = json.loads(out)
+        # one representative per first index; 72 symbols x 4 vectors + 2 x 10 pairs x 4
+        assert (body["representatives"], body["applications"]) == (5, 368)
+
     def test_center_with_embedding(self, capsys):
         code, out, _ = run(
             capsys, "check", "center", "--algebra", "block-hat", "--q", "-3",
@@ -383,3 +393,52 @@ class TestFileErrors:
         code, out, err = run(capsys, "classify", str(tmp_path / "table.json"))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Permission denied" in err
+
+
+class TestParserBuiltOnce:
+    """One argparse tree serves every `main` call of a process."""
+
+    def test_mixed_calls_match_a_fresh_parser(self, capsys, tmp_path, monkeypatch):
+        import cartanfree.cli as cli_mod
+
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        loop = ("--algebra", "loop", "--lambda", "2", "--mu", "3")
+        calls = [
+            ("emit-table", *loop, "--alpha", "1", "--box", "2", "--out", str(pa)),
+            ("emit-table", *loop, "--alpha=-1/2", "--box", "2", "--out", str(pb), "--json"),
+            ("bracket", "--algebra", "block", "--q=1/2", "L(1,2)+2*L(-1,0)", "L(2,1)-1/2*L(0,3)", "--json"),
+            ("bracket", "--algebra", "block", "--q=1/2", "L(1,2)+2*L(-1,0)", "L(2,1)-1/2*L(0,3)"),
+            ("classify", str(pa), "--json"),
+            ("classify", str(pa), str(pb)),
+            ("classify", str(pa)),
+            ("check", "module", *loop, "--alpha", "1", "--box", "1", "--json"),
+            ("check", "module", *loop, "--alpha", "1", "--box", "1"),
+            ("act", *loop, "--alpha", "1", "L(1,1)", "t^2"),
+            ("bracket", "--algebra", "block", "L(0,1)", "L(1,0)"),  # usage error: no --q
+            ("check", "jacobi", "--algebra", "virasoro", "--box", "2", "--json"),
+        ]
+
+        def outcomes():
+            return [run(capsys, *argv) for argv in calls]
+
+        before = cli_mod._build_parser.cache_info().misses
+        cached = outcomes()
+        assert cli_mod._build_parser.cache_info().misses - before <= 1
+        monkeypatch.setattr(cli_mod, "_build_parser", cli_mod._build_parser.__wrapped__)
+        fresh = outcomes()
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0] * 10 + [2, 0]
+
+    def test_import_builds_no_parser(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import cartanfree.cli as c; print(c._build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
