@@ -59,6 +59,7 @@ from typing import Callable, Iterable, Sequence
 from .algebras import (
     Algebra,
     BasisSymbol,
+    BracketTerms,
     DEFAULT_BOX,
     IndexBox,
     centrality_check,
@@ -951,6 +952,15 @@ def center_report(algebra: Algebra, box: IndexBox = DEFAULT_BOX) -> CenterReport
     Symbols that commute with everything in the box without being declared
     central are reported separately: at a finite box that is evidence, not
     membership in the center.
+
+    Each declared element goes through ``centrality_check``, whose witness
+    the report carries.  The scan lists the box symbols once and decides
+    every other candidate c from the structure constants alone: c commutes
+    with the box when, for each box symbol x, the coefficients of
+    ``bracket_pairs(c, x)`` sum to zero on every result symbol.  That is
+    the test ``centrality_check`` makes through ``AlgebraElement.bracket``,
+    with the same ``bracket_pairs`` calls in the same order, stopping at the
+    first nonzero sum; no element or witness is built.
     """
     report = CenterReport(algebra, box)
     declared = algebra.declared_central(box)
@@ -959,9 +969,22 @@ def center_report(algebra: Algebra, box: IndexBox = DEFAULT_BOX) -> CenterReport
         report.declared.append((str(sym), res.central, res.witness))
     declared_set = set(declared)
     syms = algebra.symbols_in_box(box)
+    bp = algebra.bracket_pairs
     for cand in syms:
         if cand in declared_set:
             continue
-        if centrality_check(algebra, cand, box).central:
+        for x in syms:
+            terms = bp(cand, x)
+            if terms and _nonzero_sum(terms):
+                break
+        else:
             report.extra_commuting.append(str(cand))
     return report
+
+
+def _nonzero_sum(terms: BracketTerms) -> bool:
+    """Whether (symbol, coefficient) terms sum to a nonzero element."""
+    acc: dict[BasisSymbol, GaussianRational] = {}
+    for s, c in terms:
+        acc[s] = acc[s] + c if s in acc else c
+    return any(acc.values())

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from cartanfree import (
     scalar,
     virasoro_embedding_check,
 )
-from cartanfree.algebras import _BlockBase
+from cartanfree.algebras import BasisSymbol, _BlockBase
+from cartanfree.scalars import GaussianRational
 from cartanfree.analysis import GRID_Q
 from cartanfree.errors import (
     ExcludedSymbolError,
@@ -258,6 +260,50 @@ class TestBlockCoefficient:
                         got = _BlockBase._coeff(alg, m, i, n, j)
                         want = scalar(n) * (scalar(i) + q) - scalar(m) * (scalar(j) + q)
                         assert (got.a, got.b, got.d) == (want.a, want.b, want.d), (m, i, n, j)
+
+
+def _trusted_cases():
+    cases = [("virasoro", VIRASORO, IndexBox((-4, 4))), ("loop", LOOP, IndexBox((-3, 3), (-2, 2)))]
+    for q in [str(q) for q in GRID_Q] + list(GAUSSIAN_Q):
+        box = IndexBox((-3, 3), (0, 3))
+        cases += [
+            (f"block-hat q={q}", BlockHat(scalar(q)), box),
+            (f"block q={q}", Block(scalar(q)), box),
+            (f"block-trunc q={q}", BlockTrunc(scalar(q), 1, 3), box),
+        ]
+    return cases
+
+
+TRUSTED_CASES = _trusted_cases()
+
+
+class TestTrustedBracketTerms:
+    """``bracket_pairs`` builds its symbols and integer coefficients unchecked.
+
+    They must be the same values the checked constructors build: a
+    BasisSymbol equal in ==, hash and str to L(...) or C(...), whose text
+    parses back to it, and a coefficient in canonical (a, b, d) form.
+    """
+
+    @pytest.mark.parametrize(
+        "algebra,box", [c[1:] for c in TRUSTED_CASES], ids=[c[0] for c in TRUSTED_CASES]
+    )
+    def test_terms_match_checked_constructors(self, algebra, box):
+        syms = algebra.symbols_in_box(box)
+        seen = 0
+        for x in syms:
+            for y in syms:
+                for s, c in algebra.bracket_pairs(x, y):
+                    seen += 1
+                    checked = (L if s[0] == "L" else C)(*s[1:])
+                    assert type(s) is BasisSymbol
+                    assert s == checked and hash(s) == hash(checked) and str(s) == str(checked)
+                    assert {checked: 1}[s] == 1
+                    assert parse_element(algebra, str(s)).terms == {checked: scalar(1)}
+                    assert type(c) is GaussianRational and c
+                    canonical = scalar(Fraction(c.a, c.d)) + scalar(Fraction(c.b, c.d)) * scalar("1i")
+                    assert (c.a, c.b, c.d) == (canonical.a, canonical.b, canonical.d)
+        assert seen
 
 
 class TestElementParsing:

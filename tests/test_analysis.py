@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cartanfree import (
+    Block,
     BlockHat,
     BlockTrunc,
     C,
@@ -18,6 +19,7 @@ from cartanfree import (
     ProbeConfig,
     T,
     TensorOmega,
+    VIRASORO,
     build_action_table,
     center_report,
     centrality_check,
@@ -32,10 +34,13 @@ from cartanfree import (
     submodule_invariance_check,
     tensor_irreducibility_probe,
 )
-from cartanfree.analysis import _OperatorColumns, _closure
+from cartanfree.algebras import Virasoro
+from cartanfree.analysis import GRID_Q, _OperatorColumns, _closure
 from cartanfree.linalg import SpanBasis, VectorWindow
+from cartanfree.scalars import ONE, ZERO
 
 from conftest import oracle_rank
+from test_jacobi import GAUSSIAN_Q
 
 BOX2_LOOP = IndexBox((-2, 2), (-2, 2))
 BOX2_BLOCK = IndexBox((-2, 2), (0, 2))
@@ -322,6 +327,100 @@ class TestCenterReport:
             assert (sym in declared) == centrality_check(alg, sym, wide).central, sym
         report = center_report(alg, box)
         assert report.ok and report.extra_commuting == []
+
+
+class UndeclaredVirasoro(Virasoro):
+    """Virasoro that declares nothing central, so C is decided by the scan."""
+
+    def declared_central(self, box):
+        return []
+
+
+class CancellingVirasoro(UndeclaredVirasoro):
+    """[C, y] comes back as L(1) - L(1): two terms on one symbol that cancel."""
+
+    def bracket_pairs(self, x, y):
+        if x == C():
+            return ((L(1), ONE), (L(1), -ONE))
+        return super().bracket_pairs(x, y)
+
+
+class ZeroTermVirasoro(UndeclaredVirasoro):
+    """[C, y] comes back as 0*L(1): one term with a zero coefficient."""
+
+    def bracket_pairs(self, x, y):
+        if x == C():
+            return ((L(1), ZERO),)
+        return super().bracket_pairs(x, y)
+
+
+class DoublingVirasoro(UndeclaredVirasoro):
+    """[C, L(0)] comes back as L(1) + L(1): two terms on one symbol that add up."""
+
+    def bracket_pairs(self, x, y):
+        if x == C():
+            return ((L(1), ONE), (L(1), ONE)) if y == L(0) else ()
+        return super().bracket_pairs(x, y)
+
+
+def _centre_cases():
+    box = IndexBox((-3, 3), (0, 3))
+    cases = [
+        ("virasoro", VIRASORO, IndexBox((-3, 3))),
+        ("virasoro undeclared", UndeclaredVirasoro(), IndexBox((-3, 3))),
+        ("loop", LOOP, IndexBox((-2, 2), (-2, 2))),
+        # one column of first indices: its L symbols commute with the box
+        ("virasoro i=0", VIRASORO, IndexBox((0, 0))),
+        ("loop i=0", LOOP, IndexBox((0, 0), (-2, 2))),
+        ("block-hat q=1/2 m=0", BlockHat(scalar("1/2")), IndexBox((0, 0), (0, 3))),
+    ]
+    for q in GRID_Q + tuple(scalar(g) for g in GAUSSIAN_Q):
+        cases += [
+            (f"block-hat q={q}", BlockHat(q), box),
+            (f"block q={q}", Block(q), box),
+            (f"block-trunc q={q} k=0 l=1", BlockTrunc(q, 0, 1), box),
+            (f"block-trunc q={q} k=1 l=3", BlockTrunc(q, 1, 3), box),
+        ]
+    return cases
+
+
+CENTRE_CASES = _centre_cases()
+
+
+def assert_scan_agrees(algebra, box):
+    """center_report says of every box symbol what centrality_check says."""
+    report = center_report(algebra, box)
+    declared = algebra.declared_central(box)
+    expected = []
+    for sym in declared:
+        res = centrality_check(algebra, sym, box)
+        expected.append((str(sym), res.central, res.witness))
+    assert report.declared == expected
+    assert report.extra_commuting == [
+        str(sym)
+        for sym in algebra.symbols_in_box(box)
+        if sym not in declared and centrality_check(algebra, sym, box).central
+    ]
+    return report
+
+
+class TestCentreScan:
+    @pytest.mark.parametrize(
+        "algebra,box", [c[1:] for c in CENTRE_CASES], ids=[c[0] for c in CENTRE_CASES]
+    )
+    def test_agrees_with_centrality_check(self, algebra, box):
+        assert_scan_agrees(algebra, box)
+
+    @pytest.mark.parametrize("algebra,commutes", [
+        (UndeclaredVirasoro(), True),
+        (CancellingVirasoro(), True),
+        (ZeroTermVirasoro(), True),
+        (DoublingVirasoro(), False),
+    ], ids=["plain", "cancelling", "zero-term", "doubling"])
+    def test_terms_are_summed_per_symbol(self, algebra, commutes):
+        report = assert_scan_agrees(algebra, IndexBox((-3, 3)))
+        assert report.declared == []
+        assert ("C" in report.extra_commuting) == commutes
 
 
 class TestProbeGuards:

@@ -9,6 +9,9 @@ central terms (m^3 - m)/12 bring new ones partway through the sweep, so a
 common denominator that is not kept exact shows up here.
 """
 
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 
 from cartanfree import (
@@ -105,6 +108,37 @@ class ZxOnlyBlockHat(BlockHat):
         if x == L(0, 3) and y == L(0, 1):
             return ((L(0, 4), ONE),)
         return super().bracket_pairs(x, y)
+
+
+class RescaledVirasoro(Virasoro):
+    """Virasoro in the basis c_i*L(i), with c_3 = 2, c_5 = 3 and every other c_i = 1.
+
+    [c_i L(i), c_j L(j)] = c_i c_j / c_{i+j} (j - i) c_{i+j} L(i+j) plus the
+    central term, so this is still a Lie algebra.  At box -2..2 the first
+    row brings the denominator 2 on the second term of
+    [L(-2), L(2)] = 4*L(0) - 1/2*C, after entries of that row are stored;
+    [L(1), L(2)] = 1/2*L(3) reaches L(3), and only its row brings 3:
+    [L(3), L(2)] = -2/3*L(5).  ``broken`` adds 1/3 to [L(3), L(-1)], which
+    the cyclic sum of L(-1), L(1), L(2) reads.
+    """
+
+    SCALE = {3: 2, 5: 3}
+
+    def __init__(self, broken: bool = False):
+        self.broken = broken
+
+    def bracket_pairs(self, x, y):
+        out = super().bracket_pairs(x, y)
+        if x[0] == "C" or y[0] == "C":
+            return out
+        cx, cy = self.SCALE.get(x[1], 1), self.SCALE.get(y[1], 1)
+        out = tuple(
+            (s, c * scalar(Fraction(cx * cy, 1 if s[0] == "C" else self.SCALE.get(s[1], 1))))
+            for s, c in out
+        )
+        if self.broken and x == L(3) and y == L(-1):
+            out = tuple((s, c + scalar("1/3")) for s, c in out)
+        return out
 
 
 def naive_jacobi(algebra, box):
@@ -232,6 +266,50 @@ def test_sweep_matches_naive_reference(algebra, box):
     report = jacobi_check(algebra, box)
     assert report.ok
     assert report_tuple(report) == naive_jacobi(algebra, box)
+
+
+class TestCommonDenominator:
+    """A denominator first met in a reached row rescales every stored entry once."""
+
+    BOX = IndexBox((-2, 2))
+
+    def test_table_meets_2_then_3(self):
+        algebra = RescaledVirasoro()
+        assert dict(algebra.bracket_pairs(L(-2), L(2))) == {L(0): 4, C(): scalar("-1/2")}
+        assert dict(algebra.bracket_pairs(L(1), L(2))) == {L(3): scalar("1/2")}
+        assert dict(algebra.bracket_pairs(L(3), L(2))) == {L(5): scalar("-2/3")}
+        for x in algebra.symbols_in_box(self.BOX):
+            for y in algebra.symbols_in_box(self.BOX):
+                assert all(c.d in (1, 2) for _, c in algebra.bracket_pairs(x, y))
+
+    def test_correct_constants(self):
+        algebra = RescaledVirasoro()
+        report = jacobi_check(algebra, self.BOX)
+        assert report.ok
+        assert report_tuple(report) == naive_jacobi(algebra, self.BOX)
+        # six box rows and the reached rows of L(-3) and L(3), at six box columns
+        assert (report.brackets_evaluated, report.sums_evaluated) == (48, 10)
+
+    def test_broken_coefficient_in_a_reached_row(self):
+        algebra = RescaledVirasoro(broken=True)
+        report = jacobi_check(algebra, self.BOX)
+        assert report_tuple(report) == naive_jacobi(algebra, self.BOX)
+        assert report.violations == ["jacobi(L(-1),L(1),L(2)) = 1/6*L(2)"]
+        assert (report.brackets_evaluated, report.sums_evaluated) == (48, 10)
+
+
+def test_equal_entries_are_stored_once():
+    # the traced peak of the loop box-4 sweep is about 0.85 MB with equal
+    # entries shared, and about 1.8 MB when each entry is its own tuple
+    box = IndexBox((-4, 4), (-4, 4))
+    tracemalloc.start()
+    try:
+        report = jacobi_check(LOOP, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.brackets_evaluated == 24480
+    assert peak <= 1.5 * 2**20
 
 
 class TestSkippedSums:
