@@ -922,19 +922,35 @@ class CentralityReport:
 def centrality_check(
     algebra: Algebra, z: "AlgebraElement | BasisSymbol", box: IndexBox = DEFAULT_BOX
 ) -> CentralityReport:
-    """Check [z, x] = 0 against every basis symbol x in the box."""
+    """Check [z, x] = 0 against every basis symbol x in the box; only a failing x's bracket is built."""
     if isinstance(z, BasisSymbol):
         algebra.validate_symbol(z)
         elem = AlgebraElement._raw(algebra, {z: ONE})
     else:
         elem = z
-    for x in algebra.symbols_in_box(box):
-        b = elem.bracket(AlgebraElement._raw(algebra, {x: ONE}))
-        if not b.is_zero:
-            return CentralityReport(
-                algebra, str(elem), box, False, witness=f"[{elem}, {x}] = {b}"
-            )
-    return CentralityReport(algebra, str(elem), box, True)
+    x = _first_noncommuting(algebra, elem.terms, algebra.symbols_in_box(box))
+    if x is None:
+        return CentralityReport(algebra, str(elem), box, True)
+    b = elem.bracket(AlgebraElement._raw(algebra, {x: ONE}))
+    return CentralityReport(algebra, str(elem), box, False, witness=f"[{elem}, {x}] = {b}")
+
+
+def _first_noncommuting(algebra: Algebra, terms: dict, syms: Sequence[BasisSymbol]) -> BasisSymbol | None:
+    """The first x of syms with [sum_z c_z z, x] != 0, for terms {z: c_z}; None when there is none.
+
+    The terms c_z * c of each ``bracket_pairs(z, x)`` are summed per result
+    symbol, so terms that cancel count as zero; no element is built.
+    """
+    bp = algebra.bracket_pairs
+    for x in syms:
+        acc: dict[BasisSymbol, GaussianRational] = {}
+        for z, cz in terms.items():
+            for s, c in bp(z, x):
+                c = cz * c
+                acc[s] = acc[s] + c if s in acc else c
+        if any(acc.values()):
+            return x
+    return None
 
 
 @dataclass

@@ -39,14 +39,14 @@ rests on an independent computation.
 ``module_axiom_check`` uses the same operator classes
 (``ModuleSpec.operator_classes``) for its nested actions, and still
 evaluates every (x, y, f) identity exactly.  Single actions x.f are
-direct.  A class member acts as a Q(i) combination of its class's
-representatives, and an audit admits it only if its direct x.f equals that
-combination of their images on every test vector; a member that fails
-becomes a representative of its own.  By bilinearity of the rank-one
-kernel in its entry, x.(y.f) - y.(x.f) is then the weighted sum of the
-commutators g.(h.f) - h.(g.f), computed once per pair of representatives,
-so each identity is one integer residual.  A violation's message comes
-from the direct recomputation of its two sides.
+direct.  A class member acts as the Q(i) combination of its class's
+representatives given by ``operator_classes``; an audit admits it only if
+its direct x.f equals that combination of their images on every test
+vector, and a member that fails becomes a representative of its own.
+By bilinearity of the rank-one kernel in its entry, x.(y.f) - y.(x.f) is
+then the weighted sum of the commutators g.(h.f) - h.(g.f), computed once
+per pair of representatives, so each identity is one integer residual.  A
+violation's message comes from the direct recomputation of its two sides.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from typing import Callable, Iterable, Sequence
 from .algebras import (
     Algebra,
     BasisSymbol,
-    BracketTerms,
     DEFAULT_BOX,
     IndexBox,
+    _first_noncommuting,
     centrality_check,
 )
 from .errors import MaxRoundsExceededError, NotInSubmoduleError
@@ -76,7 +76,7 @@ from .modules import (
     strip_t,
 )
 from .polynomials import P_ONE, Polynomial, T, _t_power, monomial, parse_polynomial
-from .scalars import GaussianRational, I, ONE, ZERO, scalar
+from .scalars import GaussianRational, I, ONE, scalar
 
 __all__ = [
     "ProbeConfig",
@@ -522,37 +522,6 @@ def _failing(terms: Sequence[tuple[int, int, int, tuple[dict, int]]]) -> list[in
     return sorted({k for (k, _), (a, b) in acc.items() if a or b})
 
 
-def _class_weights(reps: list, members: list) -> list[tuple[BasisSymbol, list]]:
-    """Each member of an operator class as [(representative, weight)], from the lead vectors.
-
-    The representatives' lead vectors are independent and span each
-    member's, so one exact elimination of the rows (lead_g | e_g) solves
-    lead_x = sum w_g * lead_g for every member at once: the reduced row
-    with pivot p carries the coefficients of the unit vector at p.  In
-    one variable this is w = lead_x / lead_g; a class with no
-    representative (symbols acting as 0) gives empty combinations.
-    """
-    if not reps:
-        return [(x, []) for x, _ in members]
-    n, r = len(reps[0][1]), len(reps)
-    aug = SpanBasis(n + r)
-    for k, (_, leads) in enumerate(reps):
-        aug.insert(leads + [ONE if c == k else ZERO for c in range(r)])
-    rows = list(zip(aug.pivots, aug.rows))
-    out = []
-    for x, leads in members:
-        w = []
-        for k, (g, _) in enumerate(reps):
-            c = ZERO
-            for p, row in rows:
-                if leads[p] and row[n + k]:
-                    c = c + leads[p] * row[n + k]
-            if c:
-                w.append((g, c))
-        out.append((x, w))
-    return out
-
-
 def module_axiom_check(
     spec: ModuleSpec,
     box: IndexBox = IndexBox((-2, 2), (-2, 2)),
@@ -566,7 +535,7 @@ def module_axiom_check(
     * Single actions are direct: x.f = ``act_basis(x, f)`` for every box
       symbol, every bracket symbol reached and every test vector.
     * Audit.  A class member x acts as sum_g w_g * g over its class's
-      representatives g (weights from the lead vectors).  It joins that
+      representatives g (weights w_g from ``operator_classes``).  It joins that
       combination only if its direct x.f equals sum_g w_g * g.f exactly
       for every test vector; otherwise it becomes a representative of its
       own, acting through ``act_basis``.  A broken ``act_basis`` on one
@@ -617,10 +586,10 @@ def module_axiom_check(
         reps.append(s)
 
     for cls_reps, members in spec.operator_classes(syms):
-        for g, _ in cls_reps:
+        for g in cls_reps:
             own(g)
             image(g)
-        for x, w in _class_weights(cls_reps, members):
+        for x, w in members:
             image(x)
             w = [(comb[g][0][0], (c.a, c.b, c.d)) for g, c in w]
             if _failing([(*c, stacks[reps[g]]) for g, c in w] + [(-1, 0, 1, stacks[x])]):
@@ -955,36 +924,19 @@ def center_report(algebra: Algebra, box: IndexBox = DEFAULT_BOX) -> CenterReport
 
     Each declared element goes through ``centrality_check``, whose witness
     the report carries.  The scan lists the box symbols once and decides
-    every other candidate c from the structure constants alone: c commutes
-    with the box when, for each box symbol x, the coefficients of
-    ``bracket_pairs(c, x)`` sum to zero on every result symbol.  That is
-    the test ``centrality_check`` makes through ``AlgebraElement.bracket``,
-    with the same ``bracket_pairs`` calls in the same order, stopping at the
-    first nonzero sum; no element or witness is built.
+    every other candidate c by the scan behind ``centrality_check``
+    (``algebras._first_noncommuting``): c commutes with the box when, for
+    each box symbol x, the coefficients of ``bracket_pairs(c, x)`` sum to
+    zero on every result symbol.  It stops at the first nonzero sum, and
+    no element or witness is built.
     """
     report = CenterReport(algebra, box)
     declared = algebra.declared_central(box)
     for sym in declared:
         res = centrality_check(algebra, sym, box)
         report.declared.append((str(sym), res.central, res.witness))
-    declared_set = set(declared)
     syms = algebra.symbols_in_box(box)
-    bp = algebra.bracket_pairs
     for cand in syms:
-        if cand in declared_set:
-            continue
-        for x in syms:
-            terms = bp(cand, x)
-            if terms and _nonzero_sum(terms):
-                break
-        else:
+        if cand not in declared and _first_noncommuting(algebra, {cand: ONE}, syms) is None:
             report.extra_commuting.append(str(cand))
     return report
-
-
-def _nonzero_sum(terms: BracketTerms) -> bool:
-    """Whether (symbol, coefficient) terms sum to a nonzero element."""
-    acc: dict[BasisSymbol, GaussianRational] = {}
-    for s, c in terms:
-        acc[s] = acc[s] + c if s in acc else c
-    return any(acc.values())

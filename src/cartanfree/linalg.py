@@ -16,8 +16,9 @@ per entry.  It visits only those pivots, because reducing by the row
 of pivot p never brings in another pivot column.  Vectors enter either
 as lists of GaussianRational, converted once over their common
 denominator, or as numerator maps, whose scale does not matter.
-``rows`` is the GaussianRational view of the form, built one row per
-access; ``num_rows`` gives the maps themselves.
+``num_rows`` gives the maps themselves, ``kernel`` a null-space basis read
+off them, and ``rows`` the GaussianRational view of the form, built one
+row per access (tests and the benchmark read it; no program code does).
 
 ``VectorWindow`` reads the staging maps of probe vectors and operator
 columns straight from the integer storage of ``Polynomial`` and
@@ -201,6 +202,26 @@ class SpanBasis:
 
     def contains(self, v: "Vector | Numerators") -> bool:
         return not self._reduce(self._numerators(v))
+
+    def kernel(self) -> list[tuple[int, Numerators]]:
+        """A basis of the null space of the rows: one (f, x) per non-pivot column f, in column order.
+
+        x is read off the reduced rows with no further elimination: it is
+        the primitive integer map with x_f > 0, x_p = -x_f * row_p[f] / row_p[p]
+        at each pivot p whose row holds f, and 0 elsewhere.
+        """
+        by_pivot = self._by_pivot
+        out = []
+        for f in range(self.ncols):
+            if f not in by_pivot:
+                hits = [(p, by_pivot[p]) for p in self.pivots if f in by_pivot[p]]
+                xf = lcm(*[row[p][0] for p, row in hits])
+                x = {f: (xf, 0)}
+                for p, row in hits:
+                    m, (a, b) = xf // row[p][0], row[f]
+                    x[p] = (-a * m, -b * m)
+                out.append((f, _primitive(x)))
+        return out
 
 
 def window_monomials(nvars: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -100,10 +100,11 @@ class ModuleSpec:
 
     One grouping serves both users of this factoring:
     ``operator_classes`` groups symbols by every slot's (shift, root) and
-    keeps, per class, the symbols with independent lead vectors as its
-    representatives.  The closure probe acts with the representatives
+    runs one elimination per class, which keeps the symbols with
+    independent lead vectors as representatives and weighs every other
+    symbol over them.  The closure probe acts with the representatives
     (``spanning_symbols``), and ``analysis.module_axiom_check`` applies
-    nested actions to pairs of representatives only.
+    nested actions to pairs of representatives only, with those weights.
     """
 
     family: str = ""
@@ -153,24 +154,33 @@ class ModuleSpec:
         In slot k a symbol acts as lead_k * O_k, where the slot operator O_k
         is fixed by (shift_k, root_k).  Symbols sharing every slot's
         (shift, root) form one class: they act as lead-weighted sums of the
-        same slot operators.  A symbol whose lead vector is independent of
-        those of the representatives kept before it becomes one; any other
-        is a member, acting as the combination of the representatives'
-        operators whose lead vectors combine to its own.  The symbols that
-        act as 0 in every slot form a class with no representative.  Both
-        lists hold (symbol, lead vector) pairs in the order of syms.
+        same slot operators.  The class's lead vectors are the columns of
+        one ``SpanBasis`` with a row per slot.  Its pivot columns (lead
+        vectors independent of those before them) are the representatives;
+        any other symbol x is a member, whose kernel vector
+        (``SpanBasis.kernel``) gives lead_x = sum_g w_g * lead_g, so x acts as
+        sum_g w_g * g.  The symbols acting as 0 in every slot form a class
+        with no representative and empty weights.  Representatives are
+        symbols, members (symbol, [(g, w_g)]) pairs, both in the order of syms.
         """
         slots = self._slots()
-        classes: dict[tuple, tuple[SpanBasis, list, list]] = {}
+        classes: dict[tuple, list] = {}
         for sym in syms:
             rules = [slot._rule(sym) for slot in slots]
             key = tuple(rule[:2] if rule else None for rule in rules)
-            leads = [rule[2] if rule else ZERO for rule in rules]
-            cls = classes.get(key)
-            if cls is None:
-                cls = classes[key] = (SpanBasis(len(slots)), [], [])
-            (cls[1] if any(rules) and cls[0].insert(leads) else cls[2]).append((sym, leads))
-        return [(reps, members) for _, reps, members in classes.values()]
+            classes.setdefault(key, []).append((sym, [rule[2] if rule else ZERO for rule in rules]))
+        weight = GaussianRational._make  # w_g = -x_g / x_f
+        out = []
+        for cls in classes.values():
+            basis = SpanBasis(len(cls))
+            for k in range(len(slots)):
+                basis.insert([leads[k] for _, leads in cls])
+            members = [
+                (cls[f][0], [(cls[p][0], weight(-a, -b, x[f][0])) for p, (a, b) in x.items() if p != f])
+                for f, x in basis.kernel()
+            ]
+            out.append(([cls[p][0] for p in basis.pivots], members))
+        return out
 
     def spanning_symbols(self, syms: Sequence[BasisSymbol]) -> list[BasisSymbol]:
         """The representatives of ``operator_classes``, in the order of syms.
@@ -179,7 +189,7 @@ class ModuleSpec:
         representatives, or as 0, so the image of a vector under any symbol
         of syms lies in the span of its images under the returned symbols.
         """
-        reps = {sym for cls_reps, _ in self.operator_classes(syms) for sym, _ in cls_reps}
+        reps = {sym for cls_reps, _ in self.operator_classes(syms) for sym in cls_reps}
         return [sym for sym in syms if sym in reps]
 
     def vector(self, f):
@@ -475,10 +485,13 @@ def build_action_table(spec: ModuleSpec, box: IndexBox) -> ActionTable:
 
 @dataclass
 class MatchResult:
+    """Outcome of ``match_template``; ``entries_checked`` counts the entries compared."""
+
     matched: bool
     first_mismatch: BasisSymbol | None = None
     expected: Polynomial | None = None
     found: Polynomial | None = None
+    entries_checked: int = 0
 
     def __bool__(self) -> bool:
         return self.matched
@@ -492,11 +505,11 @@ def match_template(table: ActionTable, spec: ModuleSpec) -> MatchResult:
         raise KindMismatchError(
             f"table over {table.algebra.describe()} vs family over {spec.algebra.describe()}"
         )
-    for sym in sorted(table.entries, key=_sym_sort_key):
+    for n, sym in enumerate(sorted(table.entries, key=_sym_sort_key), start=1):
         expected = spec.entry(sym)
         if table.entries[sym] != expected:
-            return MatchResult(False, sym, expected, table.entries[sym])
-    return MatchResult(True)
+            return MatchResult(False, sym, expected, table.entries[sym], n)
+    return MatchResult(True, entries_checked=len(table.entries))
 
 
 @dataclass
@@ -602,7 +615,7 @@ def _shift_amount(alg: Algebra, sym: BasisSymbol) -> GaussianRational:
 
 
 def _finish(deriv: Derivation, table: ActionTable, spec: ModuleSpec) -> Derivation:
-    """Cross-check all entries against the closed form, then the brackets.
+    """Cross-check all entries against the closed form (``match_template``), then the brackets.
 
     The bracket phase is the module-axiom sweep of the derived spec on 1
     (``analysis.module_axiom_check`` with the one test vector 1): once
@@ -611,12 +624,10 @@ def _finish(deriv: Derivation, table: ActionTable, spec: ModuleSpec) -> Derivati
     """
     from .analysis import module_axiom_check  # analysis builds on this module
 
-    for sym in sorted(table.entries, key=_sym_sort_key):
-        expected = spec.entry(sym)
-        found = table.entries[sym]
-        deriv.entries_checked += 1
-        if found == expected:
-            continue
+    match = match_template(table, spec)
+    deriv.entries_checked = match.entries_checked
+    if not match:
+        sym, expected, found = match.first_mismatch, match.expected, match.found
         diff = found - expected
         if sym[0] == "L" and sym[1] == 0 and diff.degree == 0:
             # a constant offset on a zero-row entry: the one deviation the
