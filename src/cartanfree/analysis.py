@@ -18,23 +18,40 @@ Consequently
   preserves that slice.  The certified case is a genuine witness of
   non-simplicity.
 
-A probe acts with a spanning subset of the box generators
-(``ModuleSpec.spanning_symbols``): generators that share every slot's
-shift and root act as lead-weighted sums of the same slot operators, so
-only those with independent lead vectors are applied, and generators
-acting as 0 are skipped.  Every other generator's image of a vector lies
-in the span of the applied generators' images of it, so the closure is
-the closure under the whole box.
+A probe acts with the operators of ``ModuleSpec.probe_operators``, read
+off the operator classes of the box generators.  Generators that share
+every slot's shift and root act as lead-weighted sums of the same slot
+operators, so each class needs only as many operators as its lead vectors
+span, and generators acting as 0 are skipped.  Where the lead vectors
+span a slot's unit vector, that slot operator is an exact combination of
+the class's actions, and the probe applies it alone: one representative
+acting in that one tensor slot, whose image of a monomial lies on the
+monomial's slot line.  The class's other representatives act in the
+remaining slots together (those of a repeated (lambda, mu) pair of a
+tensor, say), or whole when no slot separates.  Every generator's image of
+a vector lies in the span of the operators' images of it, and each
+operator's in the span of the generators', so each round stages the same
+span and the closure is the closure under the whole box.  For one
+variable every operator is a whole generator, acting in the one slot.
 
 A probe acts through operator columns (``_OperatorColumns``): column
-(g, k) is g applied to the k-th window monomial.  One table serves all
-the seeds of one probe and dies with it, holding at most
-|gens| * window.dim columns.  A frontier row of the closure is nearly
-always a unit row (one monomial), whose image is its column; any other
-row's image is the integer combination of its columns.  The certificate
-sweep and ``submodule_invariance_check`` do not use the columns: they
-apply every box generator with ``act_basis``, so a certified verdict
-rests on an independent computation.
+(g, k, slots) is g, acting in those slots, applied to the k-th window
+monomial.  One table serves all the seeds of one probe and dies with it,
+holding at most |operators| * window.dim columns.  A frontier row of the
+closure is nearly always a unit row (one monomial), whose image is its
+column; any other row's image is the integer combination of its columns.
+The certificate sweep and ``submodule_invariance_check`` do not use the
+columns: they apply every box generator with ``act_basis``, so a certified
+verdict rests on an independent computation.
+
+Seeds adopt known closures.  The window closure is monotone: if v lies in
+closure(w), then closure(v) is inside closure(w).  So before seed b
+closes, the probe lists the earlier seeds a whose closure holds b, and
+once one of them lies in b's staged span, a is in closure(b) as well and
+closure(b) = closure(a) exactly; the probe takes closure(a) as b's and
+stops.  A probe that fills the window closes one seed in full, and the
+others stop after a round or so.  ``ProbeVerdict.stats`` names the seeds
+that adopted a closure and counts the operators.
 
 ``module_axiom_check`` uses the same operator classes
 (``ModuleSpec.operator_classes``) for its nested actions, and still
@@ -150,6 +167,11 @@ class ProbeVerdict:
     monomial outside it, and ``certificate`` records whether the invariant
     subspace was independently certified ("invariant-certified") or is
     window-level evidence only ("window-evidence").
+
+    ``stats`` says what the closures cost: ``operators`` counts the
+    operators each closure applied (``count``) and those acting in one
+    tensor slot (``one_slot``), and ``adopted`` maps each seed that took an
+    earlier seed's closure to that seed.
     """
 
     check: str
@@ -161,6 +183,7 @@ class ProbeVerdict:
     seed_dims: dict[str, int]
     witness: str | None = None
     certificate: str | None = None
+    stats: dict = field(default_factory=dict)
 
     @property
     def verdict(self) -> str:
@@ -178,6 +201,7 @@ class ProbeVerdict:
         if not self.fills:
             out["witness"] = self.witness
             out["certificate"] = self.certificate
+        out["stats"] = self.stats
         return out
 
     def summary(self) -> str:
@@ -195,17 +219,21 @@ class ProbeVerdict:
 
 
 class _OperatorColumns:
-    """One probe's generators acting on its window, one operator column at a time.
+    """One probe's operators acting on its window, one operator column at a time.
 
-    Column (g, k) is the staging numerator map of g . m_k, for m_k the
-    k-th window monomial, with its denominator.  It is built slot by slot
-    from the spec's own slots (``ModuleSpec._slots``: the spec itself, or
-    the factors of a tensor product): slot s sends m_k to (g . t^e)(t_s)
-    times m_k's other factors, for e its exponent in slot s, and the slot
-    spec's ``act_basis`` runs once per (slot, generator, exponent), so the
+    An operator is a generator g acting in some of the spec's slots
+    (``ModuleSpec._slots``: the spec itself, or the factors of a tensor
+    product), or in every slot when slots is None, which is g itself.
+    Column (g, k, slots) is the staging numerator map of that operator
+    applied to m_k, the k-th window monomial, with its denominator.  Slot s
+    sends m_k to (g . t^e)(t_s) times m_k's other factors, for e its
+    exponent in slot s, and the slot spec's ``act_basis`` runs once per
+    (slot, generator, exponent), whichever operators share it, so the
     table keeps at most |gens| * nvars * (D + 1) slot images besides its
-    columns.  The denominators matter: a Block shift m*q with q not an
-    integer gives each monomial its own.
+    columns.  A one-slot operator (``ModuleSpec.probe_operators``) reads
+    one slot image, and its column lies on m_k's slot line.  The
+    denominators matter: a Block shift m*q with q not an integer gives each
+    monomial its own.
     """
 
     def __init__(self, spec: ModuleSpec, window: VectorWindow):
@@ -214,20 +242,23 @@ class _OperatorColumns:
         self._columns: dict = {}
         self._slot_images: dict = {}
 
-    def column(self, g: BasisSymbol, k: int) -> tuple[dict, int]:
-        col = self._columns.get((g, k))
+    def column(self, g: BasisSymbol, k: int, slots: tuple[int, ...] | None = None) -> tuple[dict, int]:
+        key = (g, k, slots)
+        col = self._columns.get(key)
         if col is None:
+            mono = self._window.monomials[k]
             images = []
-            for s, e in enumerate(self._window.monomials[k]):
+            for s in range(len(mono)) if slots is None else slots:
+                e = mono[s]
                 image = self._slot_images.get((s, g, e))
                 if image is None:
                     image = self._slot_images[s, g, e] = self._slots[s].act_basis(g, _t_power(e))
-                images.append(image)
-            col = self._columns[g, k] = self._window.ext_column(k, images)
+                images.append((s, image))
+            col = self._columns[key] = self._window.ext_column(k, images)
         return col
 
-    def image(self, g: BasisSymbol, row: dict) -> dict:
-        """Staging numerator map of g applied to an inside staging row, up to a nonzero scale.
+    def image(self, g: BasisSymbol, row: dict, slots: tuple[int, ...] | None = None) -> dict:
+        """Staging numerator map of g (in slots; None: every slot) applied to an inside staging row, up to scale.
 
         A unit row (frontier rows nearly always are) takes its column; any
         other row the exact integer combination of its columns, over the
@@ -236,8 +267,8 @@ class _OperatorColumns:
         off = self._window.n_outside
         if len(row) == 1:
             (k,) = row
-            return self.column(g, k - off)[0]
-        cols = [(self.column(g, k - off), x) for k, x in row.items()]
+            return self.column(g, k - off, slots)[0]
+        cols = [(self.column(g, k - off, slots), x) for k, x in row.items()]
         big = lcm(*[den for (_, den), _ in cols])
         out: dict = {}
         for (col, den), (ra, rb) in cols:
@@ -248,13 +279,18 @@ class _OperatorColumns:
                 out[c] = (x[0] + a * ra - b * rb, x[1] + a * rb + b * ra)
         return {c: x for c, x in out.items() if x[0] or x[1]}
 
+    def apply(self, op: tuple, row: dict) -> dict:
+        """``image`` of an operator (g, slots) of ``ModuleSpec.probe_operators``."""
+        return self.image(op[0], row, op[1])
+
 
 def _closure(
     seed,
-    gens: Sequence[BasisSymbol],
-    act: Callable[[BasisSymbol, dict], dict],
+    gens: Sequence,
+    act: Callable[[object, dict], dict],
     window: VectorWindow,
     max_rounds: int | None = None,
+    known: Sequence[tuple[dict, SpanBasis]] = (),
 ) -> SpanBasis:
     """Window closure of span{seed} under the actions of gens.
 
@@ -268,15 +304,23 @@ def _closure(
     linearity the loop reaches a true fixpoint.
 
     act(g, row) is the staging numerator map of g applied to an inside
-    row, up to scale: a probe hands over ``_OperatorColumns.image``, so
-    each image is read off the operator columns, and no polynomial is
-    rebuilt from a row nor acted on here.  SpanBasis replaces rows rather
-    than changing them, so each round's frontier is a snapshot.
+    row, up to scale: a probe hands over ``_OperatorColumns.apply`` with
+    the operators of ``ModuleSpec.probe_operators``, so each image is read
+    off the operator columns, and no polynomial is rebuilt from a row nor
+    acted on here.  SpanBasis replaces rows rather than changing them, so
+    each round's frontier is a snapshot.
 
     gens need only span the operators of the box generators (see
-    ``ModuleSpec.spanning_symbols``): every other generator's image of a
-    vector lies in the span of their images of it, so each round's staged
-    span is the same.  The closure is returned in window coordinates; its
+    ``ModuleSpec.spanning_symbols`` and ``probe_operators``): every
+    generator's image of a vector lies in the span of their images of it,
+    and theirs in the span of the generators' images, so each round's
+    staged span is the same.
+
+    known lists (staging map of a, closure of a) for earlier seeds a whose
+    closure holds this seed.  At the top of each round, once some such a
+    lies in the staged span, a is in this seed's closure too, so the two
+    closures coincide (the window closure is monotone) and closure(a) is
+    returned as it is.  The closure is returned in window coordinates; its
     rows are the inside rows' tails, already reduced.  Everything here
     stays on integers, and no GaussianRational is made.
     """
@@ -287,6 +331,9 @@ def _closure(
     rounds = 0
     budget = max_rounds if max_rounds is not None else window.dim + 2
     while True:
+        for vec, closure in known:
+            if staged.contains(vec):
+                return closure
         first = bisect_left(staged.pivots, n_out)  # inside rows come last
         if staged.rank - first == window.dim:
             break
@@ -401,20 +448,37 @@ def tensor_irreducibility_probe(
 
 
 def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
-    """The probe body shared by both public probes."""
+    """The probe body shared by both public probes.
+
+    Seeds close in order.  Before seed b closes, the earlier seeds a whose
+    closure holds b are listed for ``_closure``, which returns closure(a)
+    once one of them lies in b's staged span.
+    """
     window = VectorWindow(cfg.max_degree, spec.nvars)
-    gens = spec.spanning_symbols(spec.algebra.symbols_in_box(cfg.box))
-    act = _OperatorColumns(spec, window).image
+    n_out = window.n_outside
+    ops = spec.probe_operators(spec.algebra.symbols_in_box(cfg.box))
+    act = _OperatorColumns(spec, window).apply
     seed_dims: dict[str, int] = {}
+    closed: list[tuple[str, dict, SpanBasis]] = []  # (seed, staging map, closure) per seed so far
+    adopted: dict[str, str] = {}
     worst: SpanBasis | None = None
     for seed in cfg.seeds:
         seed = _prepare_seed(seed, window, spec)
-        basis = _closure(seed, gens, act, window)
-        seed_dims[str(seed)] = basis.rank
+        vec = window.ext_vector(seed)[0]
+        inside = {k - n_out: x for k, x in vec.items()}
+        known = [(v, basis) for _, v, basis in closed if basis.contains(inside)]
+        basis = _closure(seed, ops, act, window, known=known)
+        name = str(seed)
+        seed_dims[name] = basis.rank
+        owner = next((a for a, _, b in closed if b is basis), None)
+        if owner is not None:
+            adopted[name] = owner
+        closed.append((name, vec, basis))
         if worst is None or basis.rank < worst.rank:
             worst = basis
     assert worst is not None
     fills = worst.rank == window.dim
+    one_slot = sum(1 for _, slots in ops if slots is not None and len(slots) == 1)
     verdict = ProbeVerdict(
         check=check,
         spec=spec.as_dict(),
@@ -423,6 +487,7 @@ def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
         window_dim=window.dim,
         window=cfg.as_dict(spec.algebra.index_names),
         seed_dims=seed_dims,
+        stats={"operators": {"count": len(ops), "one_slot": one_slot}, "adopted": adopted},
     )
     if not fills:
         verdict.witness = str(window.missing_monomial(worst))

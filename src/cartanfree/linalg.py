@@ -256,8 +256,9 @@ class VectorWindow:
     combination of images (an action of a combination of box generators,
     hence still a submodule member) stays inside.  No row is turned back
     into a polynomial: a probe acts on an inside row through the staging
-    maps of the generators' images of the window monomials
-    (``ext_column``), combined with the row's entries.
+    maps of the operators' images of the window monomials
+    (``ext_column``, for a whole generator or for some of its slots),
+    combined with the row's entries.
     """
 
     def __init__(self, max_degree: int, nvars: int = 1):
@@ -312,22 +313,25 @@ class VectorWindow:
         """Staging numerator map of f (outside-the-window monomials first) and its denominator."""
         return self._numerators(f, self._ext_index, self.max_degree + 1)
 
-    def ext_column(self, idx: int, slot_images: Sequence[Polynomial]) -> tuple[Numerators, int]:
+    def ext_column(self, idx: int, slot_images: Sequence[tuple[int, Polynomial]]) -> tuple[Numerators, int]:
         """Staging numerator map and denominator of an operator that acts slot by slot,
         applied to the idx-th window monomial.
 
-        slot_images[s] is the operator's slot-s image of t^e, for e the
-        monomial's exponent in slot s (a univariate polynomial of degree
-        <= max_degree + 1); it stands in t_s, times the monomial's factors
-        outside slot s, and the slots add up (the Leibniz rule).  Two slots
-        meet only at the monomial itself (t_s^j with j its own exponent).
+        slot_images holds a pair (s, p) for each slot s the operator acts
+        in, any subset of the slots: p is the operator's slot-s image of
+        t^e, for e the monomial's exponent in slot s (a univariate
+        polynomial of degree <= max_degree + 1); it stands in t_s, times
+        the monomial's factors outside slot s, and the slots add up (the
+        Leibniz rule).  A one-slot operator's column thus lies on the
+        monomial's slot-s line.  Two slots meet only at the monomial itself
+        (t_s^j with j its own exponent).
         """
         mono = self.monomials[idx]
         at = self._ext_at
-        den = lcm(*[p._den for p in slot_images])
+        den = lcm(*[p._den for _, p in slot_images])
         out: Numerators = {}
         sa = sb = 0  # the coefficient of the monomial itself
-        for s, p in enumerate(slot_images):
+        for s, p in slot_images:
             w = den // p._den
             e = mono[s]
             head, tail = mono[:s], mono[s + 1:]

@@ -102,8 +102,9 @@ class ModuleSpec:
     ``operator_classes`` groups symbols by every slot's (shift, root) and
     runs one elimination per class, which keeps the symbols with
     independent lead vectors as representatives and weighs every other
-    symbol over them.  The closure probe acts with the representatives
-    (``spanning_symbols``), and ``analysis.module_axiom_check`` applies
+    symbol over them.  The closure probe acts with the representatives,
+    each in the tensor slots its class cannot separate further
+    (``probe_operators``), and ``analysis.module_axiom_check`` applies
     nested actions to pairs of representatives only, with those weights.
     """
 
@@ -132,7 +133,7 @@ class ModuleSpec:
                 if e.degree == 0:
                     root, lead = None, e.constant_term
                 else:
-                    lead, root = _read_linear(e, str(sym))
+                    lead, root = _read_linear(e, sym)
                 rule = (shift, root, lead, rank_one_rule(shift, e))
             self._rules[sym] = rule
         return rule
@@ -191,6 +192,45 @@ class ModuleSpec:
         """
         reps = {sym for cls_reps, _ in self.operator_classes(syms) for sym in cls_reps}
         return [sym for sym in syms if sym in reps]
+
+    def probe_operators(self, syms: Sequence[BasisSymbol]) -> list[tuple[BasisSymbol, "tuple[int, ...] | None"]]:
+        """The operators a closure probe acts with: (symbol, slots) pairs, slots None for every slot.
+
+        In a class of ``operator_classes`` every member x acts as
+        sum_s lead_s(x) * O_s, with the class's slot operators O_s.  When
+        the unit vector of slot s lies in the span of the class's lead
+        vectors, O_s is an exact combination of member actions, and a
+        representative g with lead_s(g) != 0 acts in slot s alone as
+        lead_s(g) * O_s: the operator (g, (s,)), whose image of a monomial
+        lies on that monomial's slot-s line.  The representatives that
+        complete those unit vectors to a basis of the lead span act on the
+        remaining slots, or as themselves (slots None) when no slot
+        separates.  So the operators' images of a vector span exactly the
+        images of the class members, as ``spanning_symbols``' do, with as
+        many operators.  A class whose lead vectors span all of its live
+        slots (for one variable: every class) gives one one-slot operator
+        per live slot; a repeated (lambda, mu) pair of a tensor keeps two
+        slots together.  The separated slots are the unit rows of one
+        elimination of the representatives' lead vectors.
+        """
+        slots = self._slots()
+        n = len(slots)
+        out: list = []
+        for reps, _ in self.operator_classes(syms):
+            leads = [[rule[2] if rule else ZERO for rule in (slot._rule(g) for slot in slots)] for g in reps]
+            span = SpanBasis(n)
+            for v in leads:
+                span.insert(v)
+            apart = [p for p, row in zip(span.pivots, span.num_rows) if len(row) == 1]
+            for s in apart:
+                out.append((next(g for g, v in zip(reps, leads) if v[s]), (s,)))
+            if len(apart) < len(reps):
+                rest = SpanBasis(n)
+                for s in apart:
+                    rest.insert({s: (1, 0)})
+                others = tuple(s for s in range(n) if s not in apart) if apart else None
+                out += [(g, others) for g, v in zip(reps, leads) if rest.insert(v)]
+        return out
 
     def vector(self, f):
         """f as a vector of this module; KindMismatchError when it is none.
@@ -590,8 +630,11 @@ def derive_parameters(table: ActionTable) -> Derivation:
     raise KindMismatchError(f"no rank-one family is defined over {alg.describe()}")
 
 
-def _read_linear(entry: Polynomial, name: str) -> tuple[GaussianRational, GaussianRational]:
-    """lam, root with entry = lam*(t - root); entry must have degree 1."""
+def _read_linear(entry: Polynomial, name: "str | BasisSymbol") -> tuple[GaussianRational, GaussianRational]:
+    """lam, root with entry = lam*(t - root); entry must have degree 1.
+
+    name (a label or the symbol itself) is formatted only into the error.
+    """
     if entry.degree != 1:
         raise DegreeMismatchError(
             f"entry {name} = {entry} must have degree 1 for a rank-one free action"

@@ -31,10 +31,11 @@ tuples.  +, - and scale (both classes) are numerator loops that
 canonicalise once, at the end.  shift, mul_linear and their ``_var``
 forms are rules of the one rank-one kernel: ``apply_rank_one`` computes
 f(t - s) * e for an entry e of degree <= 1 (x . 1 for a module action) as
-a Taylor shift, a multiply by e and one canonicalisation, and ``shift``
-(e = 1) and ``mul_linear`` (s = 0, e = t - root) only build their rule
-with ``rank_one_rule``.  Three readers of this storage sit outside this
-module.  ``linalg.VectorWindow`` only reads it: it stages probe vectors
+a Taylor shift (one binomial row when f is a monomial), a multiply by e
+and one canonicalisation, and ``shift`` (e = 1) and ``mul_linear``
+(s = 0, e = t - root) only build their rule with ``rank_one_rule``.
+Three readers of this storage sit outside this module.
+``linalg.VectorWindow`` only reads it: it stages probe vectors
 and operator columns from the integers, and builds no polynomial back.
 ``analysis.module_axiom_check`` only reads it too: it stacks the images
 of its test vectors as integers and decides each identity on them.
@@ -133,25 +134,40 @@ def _shift_num(re: Numerators, im: Numerators, cp: int, ci: int, cq: int) -> int
     is h(u) with numerators A[k]*cq^(n-1-k); cq^(n-1) f(t - c) is then
     h(u - cp - ci*i), one integer Taylor shift by a Gaussian integer, and
     its t^k numerator is B[k]*cq^k.  Returns cq^(n-1).
+
+    A monomial A*t^e (e = n - 1, every lower numerator 0), the input of
+    every operator column and of every sweep over window monomials, skips
+    the O(e^2) Taylor shift: B[k] = C(e,k) * A * (-cp - ci*i)^(e-k) is one
+    binomial row, built from k = e down in O(e) multiplications.
     """
     n = len(re)
-    if cq != 1:
-        w = 1
-        for k in range(n - 1, -1, -1):
-            re[k] *= w
-            im[k] *= w
-            w *= cq
+    e = n - 1
     sp, si = -cp, -ci
-    if si:
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                a, b = re[j + 1], im[j + 1]
-                re[j] += sp * a - si * b
-                im[j] += sp * b + si * a
-    else:
-        _taylor_shift(re, sp)
-        if any(im):
-            _taylor_shift(im, sp)
+    if any(re[:e]) or any(im[:e]):
+        if cq != 1:
+            w = 1
+            for k in range(e, -1, -1):
+                re[k] *= w
+                im[k] *= w
+                w *= cq
+        if si:
+            for i in range(e):
+                for j in range(n - 2, i - 1, -1):
+                    a, b = re[j + 1], im[j + 1]
+                    re[j] += sp * a - si * b
+                    im[j] += sp * b + si * a
+        else:
+            _taylor_shift(re, sp)
+            if any(im):
+                _taylor_shift(im, sp)
+    else:  # one binomial row: C(e,k) falls to C(e,k-1) as the power of -c rises
+        a, b = re[e], im[e]
+        binom = 1
+        for k in range(e, 0, -1):
+            re[k], im[k] = binom * a, binom * b
+            a, b = a * sp - b * si, a * si + b * sp
+            binom = binom * k // (e - k + 1)
+        re[0], im[0] = binom * a, binom * b
     if cq == 1:
         return 1
     w = 1
