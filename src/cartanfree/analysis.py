@@ -21,18 +21,19 @@ Consequently
 A probe acts with the operators of ``ModuleSpec.probe_operators``, read
 off the operator classes of the box generators.  Generators that share
 every slot's shift and root act as lead-weighted sums of the same slot
-operators, so each class needs only as many operators as its lead vectors
-span, and generators acting as 0 are skipped.  Where the lead vectors
-span a slot's unit vector, that slot operator is an exact combination of
-the class's actions, and the probe applies it alone: one representative
-acting in that one tensor slot, whose image of a monomial lies on the
-monomial's slot line.  The class's other representatives act in the
-remaining slots together (those of a repeated (lambda, mu) pair of a
-tensor, say), or whole when no slot separates.  Every generator's image of
-a vector lies in the span of the operators' images of it, and each
-operator's in the span of the generators', so each round stages the same
-span and the closure is the closure under the whole box.  For one
-variable every operator is a whole generator, acting in the one slot.
+operators, so each class needs only the generators that grow the rank of
+its lead vectors, one elimination per class with no weight solved, and
+generators acting as 0 are skipped.  Where the lead vectors span a slot's
+unit vector, that slot operator is an exact combination of the class's
+actions, and the probe applies it alone: one representative acting in
+that one tensor slot, whose image of a monomial lies on the monomial's
+slot line.  The class's other representatives act in the remaining slots
+together (those of a repeated (lambda, mu) pair of a tensor, say), or
+whole when no slot separates.  Every generator's image of a vector lies
+in the span of the operators' images of it, and each operator's in the
+span of the generators', so each round stages the same span and the
+closure is the closure under the whole box.  For one variable every
+operator is a whole generator, acting in the one slot.
 
 A probe acts through operator columns (``_OperatorColumns``): column
 (g, k, slots) is g, acting in those slots, applied to the k-th window
@@ -59,7 +60,8 @@ evaluates every (x, y, f) identity exactly.  Single actions x.f are
 direct.  A class member acts as the Q(i) combination of its class's
 representatives given by ``operator_classes``; an audit admits it only if
 its direct x.f equals that combination of their images on every test
-vector, and a member that fails becomes a representative of its own.
+vector, and a member that fails becomes a representative of its own (and
+every generator does, once one of its class acts on 0 as nonzero).
 By bilinearity of the rank-one kernel in its entry, x.(y.f) - y.(x.f) is
 then the weighted sum of the commutators g.(h.f) - h.(g.f), computed once
 per pair of representatives, so each identity is one integer residual.  A
@@ -310,8 +312,8 @@ def _closure(
     acted on here.  SpanBasis replaces rows rather than changing them, so
     each round's frontier is a snapshot.
 
-    gens need only span the operators of the box generators (see
-    ``ModuleSpec.spanning_symbols`` and ``probe_operators``): every
+    gens need only span the operators of the box generators (such as
+    ``ModuleSpec.probe_operators``, or the box symbols themselves): every
     generator's image of a vector lies in the span of their images of it,
     and theirs in the span of the generators' images, so each round's
     staged span is the same.
@@ -605,6 +607,11 @@ def module_axiom_check(
       for every test vector; otherwise it becomes a representative of its
       own, acting through ``act_basis``.  A broken ``act_basis`` on one
       symbol is thus still applied directly.
+    * Linearity.  The argument needs ``act_basis`` linear in f, as a module
+      action is.  When a class demotes a member, its symbols acting through
+      their own operators are applied to 0; if one gives a nonzero image,
+      every box symbol acts through its own operator, and the residuals
+      compare every nested action, as a direct sweep does.
     * Bilinearity.  The rank-one kernel is linear in its entry, so with
       x = sum_g w_(x,g) g and y = sum_h w_(y,h) h,
       x.(y.f) - y.(x.f) = sum w_(x,g) w_(y,h) K(g, h, f), where
@@ -616,12 +623,6 @@ def module_axiom_check(
       built by the direct recomputation (x.(y.f) - y.(x.f) against
       [x,y].f, as polynomials); if that recomputation finds no violation,
       the two paths disagree and a RuntimeError is raised.
-
-    The argument needs ``act_basis`` to be linear in f, as a module action
-    is and the rank-one rule is.  An ``act_basis`` that is not linear
-    (say, one that adds a constant) still fails the check, with messages
-    from the direct recomputation, but may fail fewer identities than a
-    sweep that applies every nested action.
     """
     if polys is None:
         polys = DEFAULT_SEEDS
@@ -650,7 +651,9 @@ def module_axiom_check(
         comb[s] = [(len(reps), (1, 0, 1))]
         reps.append(s)
 
+    linear = True
     for cls_reps, members in spec.operator_classes(syms):
+        first = len(reps)
         for g in cls_reps:
             own(g)
             image(g)
@@ -661,6 +664,14 @@ def module_axiom_check(
                 own(x)
             else:
                 comb[x] = w
+        if linear and len(reps) > first + len(cls_reps):  # demoted members: does 0 go to 0?
+            zero = vectors[0].scale(0)
+            linear = not any([act(s, zero) for s in reps[first:]])
+            report.applications += len(reps) - first
+    if not linear:  # no symbol acts through a combination
+        reps.clear()
+        for s in syms:
+            own(s)
     report.representatives = len(reps)
 
     nested: dict[tuple[int, int], tuple] = {}  # (g, h), g < h -> K(g, h, f) for every f, stacked

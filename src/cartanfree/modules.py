@@ -92,20 +92,17 @@ class ModuleSpec:
     ``entry`` and ``params``; the rule is memoized once per symbol as
     (shift, root, lead, kernel).  (shift, root, lead) factor it with
     x . 1 = lead * (t - root), or root None when x . 1 is the constant lead;
-    ``operator_classes`` compares them.  kernel keeps s_x and x . 1 as
+    ``_classes`` compares them.  kernel keeps s_x and x . 1 as
     integer numerators (``polynomials.rank_one_rule``), and ``act_basis``
     runs it as one fused integer pass, a Taylor shift, a multiply by the
     degree-<=1 entry and one canonicalisation, with no scalar objects in
     between.  ``TensorOmega`` runs the same kernel in each tensor slot.
 
-    One grouping serves both users of this factoring:
-    ``operator_classes`` groups symbols by every slot's (shift, root) and
-    runs one elimination per class, which keeps the symbols with
-    independent lead vectors as representatives and weighs every other
-    symbol over them.  The closure probe acts with the representatives,
-    each in the tensor slots its class cannot separate further
-    (``probe_operators``), and ``analysis.module_axiom_check`` applies
-    nested actions to pairs of representatives only, with those weights.
+    One grouping (``_classes``) serves both users of this factoring, and
+    each runs only the elimination its question needs: the closure probe
+    acts with the members that grow the rank of their class's lead span
+    (``probe_operators``), and ``analysis.module_axiom_check`` also weighs
+    every other member over them (``operator_classes``).
     """
 
     family: str = ""
@@ -149,20 +146,12 @@ class ModuleSpec:
         """The specs whose rules act on the tensor slots, in slot order."""
         return (self,)
 
-    def operator_classes(self, syms: Sequence[BasisSymbol]) -> list[tuple[list, list]]:
-        """syms grouped by their slot operators, as (representatives, members) per class.
+    def _classes(self, syms: Sequence[BasisSymbol]) -> list[list[tuple[BasisSymbol, list]]]:
+        """syms grouped by every slot's (shift, root), as (symbol, lead vector) pairs per class, in the order of syms.
 
-        In slot k a symbol acts as lead_k * O_k, where the slot operator O_k
-        is fixed by (shift_k, root_k).  Symbols sharing every slot's
-        (shift, root) form one class: they act as lead-weighted sums of the
-        same slot operators.  The class's lead vectors are the columns of
-        one ``SpanBasis`` with a row per slot.  Its pivot columns (lead
-        vectors independent of those before them) are the representatives;
-        any other symbol x is a member, whose kernel vector
-        (``SpanBasis.kernel``) gives lead_x = sum_g w_g * lead_g, so x acts as
-        sum_g w_g * g.  The symbols acting as 0 in every slot form a class
-        with no representative and empty weights.  Representatives are
-        symbols, members (symbol, [(g, w_g)]) pairs, both in the order of syms.
+        In slot k a symbol acts as lead_k * O_k, with the slot operator O_k
+        fixed by (shift_k, root_k), so a class's members act as lead-weighted
+        sums of the same slot operators (the symbols acting as 0: lead 0).
         """
         slots = self._slots()
         classes: dict[tuple, list] = {}
@@ -170,11 +159,24 @@ class ModuleSpec:
             rules = [slot._rule(sym) for slot in slots]
             key = tuple(rule[:2] if rule else None for rule in rules)
             classes.setdefault(key, []).append((sym, [rule[2] if rule else ZERO for rule in rules]))
+        return list(classes.values())
+
+    def operator_classes(self, syms: Sequence[BasisSymbol]) -> list[tuple[list, list]]:
+        """The classes of ``_classes`` as (representatives, members), weighed for the axiom sweep.
+
+        The class's lead vectors are the columns of one ``SpanBasis`` with a
+        row per slot.  Its pivot columns (lead vectors independent of those
+        before them) are the representatives; any other symbol x is a
+        member, whose kernel vector (``SpanBasis.kernel``) gives
+        lead_x = sum_g w_g * lead_g, so x acts as sum_g w_g * g.  The zero
+        class has no representative and empty weights.  Representatives are
+        symbols, members (symbol, [(g, w_g)]) pairs, both in the order of syms.
+        """
         weight = GaussianRational._make  # w_g = -x_g / x_f
         out = []
-        for cls in classes.values():
+        for cls in self._classes(syms):
             basis = SpanBasis(len(cls))
-            for k in range(len(slots)):
+            for k in range(len(self._slots())):
                 basis.insert([leads[k] for _, leads in cls])
             members = [
                 (cls[f][0], [(cls[p][0], weight(-a, -b, x[f][0])) for p, (a, b) in x.items() if p != f])
@@ -183,53 +185,39 @@ class ModuleSpec:
             out.append(([cls[p][0] for p in basis.pivots], members))
         return out
 
-    def spanning_symbols(self, syms: Sequence[BasisSymbol]) -> list[BasisSymbol]:
-        """The representatives of ``operator_classes``, in the order of syms.
-
-        Every other symbol of syms acts as a combination of its class's
-        representatives, or as 0, so the image of a vector under any symbol
-        of syms lies in the span of its images under the returned symbols.
-        """
-        reps = {sym for cls_reps, _ in self.operator_classes(syms) for sym in cls_reps}
-        return [sym for sym in syms if sym in reps]
-
     def probe_operators(self, syms: Sequence[BasisSymbol]) -> list[tuple[BasisSymbol, "tuple[int, ...] | None"]]:
         """The operators a closure probe acts with: (symbol, slots) pairs, slots None for every slot.
 
-        In a class of ``operator_classes`` every member x acts as
-        sum_s lead_s(x) * O_s, with the class's slot operators O_s.  When
-        the unit vector of slot s lies in the span of the class's lead
-        vectors, O_s is an exact combination of member actions, and a
-        representative g with lead_s(g) != 0 acts in slot s alone as
-        lead_s(g) * O_s: the operator (g, (s,)), whose image of a monomial
-        lies on that monomial's slot-s line.  The representatives that
-        complete those unit vectors to a basis of the lead span act on the
-        remaining slots, or as themselves (slots None) when no slot
-        separates.  So the operators' images of a vector span exactly the
-        images of the class members, as ``spanning_symbols``' do, with as
-        many operators.  A class whose lead vectors span all of its live
-        slots (for one variable: every class) gives one one-slot operator
-        per live slot; a repeated (lambda, mu) pair of a tensor keeps two
-        slots together.  The separated slots are the unit rows of one
-        elimination of the representatives' lead vectors.
+        In a class of ``_classes`` every member x acts as
+        sum_s lead_s(x) * O_s, with the class's slot operators O_s.  One
+        ``SpanBasis`` over the slots takes the members' lead vectors in
+        order, and those that grow its rank are the representatives (the
+        pivot columns of ``operator_classes``); no weight is solved.  When
+        the unit vector of slot s is a row of it, O_s is an exact
+        combination of member actions, and the first representative g with
+        lead_s(g) != 0 acts in slot s alone: the operator (g, (s,)), whose
+        image of a monomial lies on that monomial's slot-s line.  The
+        representatives that complete those unit vectors to a basis of the
+        lead span act on the remaining slots, or whole (slots None) when no
+        slot separates.  So the operators' images of a vector span exactly
+        the members' images, with as many operators as representatives.
+        For one variable every class that acts gives one one-slot operator;
+        a repeated (lambda, mu) pair of a tensor keeps two slots together.
         """
-        slots = self._slots()
-        n = len(slots)
+        n = len(self._slots())
         out: list = []
-        for reps, _ in self.operator_classes(syms):
-            leads = [[rule[2] if rule else ZERO for rule in (slot._rule(g) for slot in slots)] for g in reps]
+        for cls in self._classes(syms):
             span = SpanBasis(n)
-            for v in leads:
-                span.insert(v)
+            reps = [(g, v) for g, v in cls if span.insert(v)]
             apart = [p for p, row in zip(span.pivots, span.num_rows) if len(row) == 1]
             for s in apart:
-                out.append((next(g for g, v in zip(reps, leads) if v[s]), (s,)))
+                out.append((next(g for g, v in reps if v[s]), (s,)))
             if len(apart) < len(reps):
                 rest = SpanBasis(n)
                 for s in apart:
                     rest.insert({s: (1, 0)})
                 others = tuple(s for s in range(n) if s not in apart) if apart else None
-                out += [(g, others) for g, v in zip(reps, leads) if rest.insert(v)]
+                out += [(g, others) for g, v in reps if rest.insert(v)]
         return out
 
     def vector(self, f):

@@ -112,3 +112,18 @@ def membership_oracle():
 
 def s(text: str) -> GaussianRational:
     return scalar(text)
+
+
+# -- operator-class representatives -------------------------------------------
+
+
+def spanning_symbols(spec, syms):
+    """The representatives of ``spec.operator_classes(syms)``, in the order of syms.
+
+    Every other symbol of syms acts as a combination of its class's
+    representatives, or as 0, so the image of a vector under any symbol of
+    syms lies in the span of its images under the returned symbols: an
+    operator list for ``analysis._closure`` that acts with whole symbols.
+    """
+    reps = {g for cls_reps, _ in spec.operator_classes(syms) for g in cls_reps}
+    return [s for s in syms if s in reps]

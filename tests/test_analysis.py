@@ -39,7 +39,7 @@ from cartanfree.analysis import GRID_Q, _OperatorColumns, _closure
 from cartanfree.linalg import SpanBasis, VectorWindow
 from cartanfree.scalars import ONE, ZERO
 
-from conftest import oracle_rank
+from conftest import oracle_rank, spanning_symbols
 from test_jacobi import GAUSSIAN_Q
 
 BOX2_LOOP = IndexBox((-2, 2), (-2, 2))
@@ -428,7 +428,7 @@ class TestProbeGuards:
         from cartanfree.errors import MaxRoundsExceededError
 
         spec = OmegaLoop(2, 3, 1)
-        gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
+        gens = spanning_symbols(spec, spec.algebra.symbols_in_box(ProbeConfig().box))
         with pytest.raises(MaxRoundsExceededError):
             window = VectorWindow(4)
             _closure(P_ONE, gens, _OperatorColumns(spec, window).image, window, 1)
@@ -460,7 +460,7 @@ class TestProbeGuards:
         from cartanfree.errors import MaxRoundsExceededError
 
         window = VectorWindow(D, spec.nvars)
-        gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
+        gens = spanning_symbols(spec, spec.algebra.symbols_in_box(ProbeConfig().box))
         (seed,) = (spec.vector(s) for s in seeds)
         with pytest.raises(MaxRoundsExceededError):
             _closure(seed, gens, _OperatorColumns(spec, window).image, window, last_failing)

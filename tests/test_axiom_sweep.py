@@ -10,7 +10,8 @@ representatives per class, and on broken specs: a broken entry (on a class
 member, on a representative, in one tensor factor) and a broken but linear
 `act_basis` on one symbol, which the audit must demote to a representative
 of its own.  A non-linear `act_basis` is outside the bilinearity argument:
-it must still fail, with messages the direct sweep also gives.
+once a demoting class maps 0 to a nonzero vector, every symbol acts on its
+own, and the sweep must list every violation the direct sweep lists.
 """
 
 import pytest
@@ -256,6 +257,27 @@ def test_non_linear_act_basis_reports_only_direct_messages(sym):
     assert (report.pairs_checked, report.identities_checked) == direct[:2]
     assert set(report.violations) <= set(direct[2])
 
+
+@pytest.mark.parametrize("sym,count", [(L(1, 1), 144), (L(1, -2), 136), (C(0), 136)], ids=str)
+def test_non_linear_act_basis_lists_every_direct_violation(sym, count):
+    # x . 0 = 1 != 0: the demoting class fails the zero check, every box
+    # symbol then acts through its own operator, and the residuals compare
+    # every nested action, in the direct sweep's order
+    spec = loop_with_act_basis(sym, lambda image, f: image + P_ONE)
+    report = assert_same_as_direct(spec, BOX2_LOOP, TEST_POLYS)
+    assert len(report.violations) == count
+    assert report.representatives == len(spec.algebra.symbols_in_box(BOX2_LOOP))
+
+
+def test_non_linear_tensor_act_basis_lists_every_direct_violation():
+    class Broken(TensorOmega):
+        def act_basis(self, sym, f):
+            image = TensorOmega.act_basis(self, sym, f)
+            return image + self.one() if sym == L(1, 0) else image
+
+    # L(1,0) is a representative of its class, whose member L(1,1) it demotes
+    report = assert_same_as_direct(Broken([(2, 1, 1), (3, 1, 1)]), BOX1_LOOP, TENSOR_POLYS)
+    assert not report.ok and report.representatives == 12  # every box symbol
 
 @pytest.mark.parametrize("factors,reps", [([(2, 1, 1), (2, 1, 0)], 6), ([(2, 1, 1), (3, 1, 1)], 10)])
 def test_broken_tensor_factor(factors, reps):

@@ -20,6 +20,8 @@ from cartanfree.analysis import _OperatorColumns, _closure
 from cartanfree.linalg import VectorWindow
 from cartanfree.scalars import GaussianRational
 
+from conftest import spanning_symbols
+
 
 def _count_scalar_builds(monkeypatch) -> list[int]:
     built = [0]
@@ -61,7 +63,7 @@ def _count_scalar_builds(monkeypatch) -> list[int]:
 )
 def test_closure_builds_no_gaussian_rational(monkeypatch, spec, D, seed, rank):
     window = VectorWindow(D, spec.nvars)
-    gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
+    gens = spanning_symbols(spec, spec.algebra.symbols_in_box(ProbeConfig().box))
     seed = spec.vector(seed)
     built = _count_scalar_builds(monkeypatch)
     closure = _closure(seed, gens, _OperatorColumns(spec, window).image, window)

@@ -14,6 +14,8 @@ from cartanfree import IndexBox, OmegaLoop, P_ONE, ProbeConfig, T, TensorOmega, 
 from cartanfree.analysis import _OperatorColumns, _closure
 from cartanfree.linalg import SpanBasis, VectorWindow
 
+from conftest import spanning_symbols
+
 BOX1 = IndexBox((-1, 1), (-1, 1))
 
 
@@ -27,7 +29,7 @@ BOX1 = IndexBox((-1, 1), (-1, 1))
 )
 def test_closure_inserts(monkeypatch, spec, D, seed):
     window = VectorWindow(D, spec.nvars)
-    gens = spec.spanning_symbols(spec.algebra.symbols_in_box(ProbeConfig().box))
+    gens = spanning_symbols(spec, spec.algebra.symbols_in_box(ProbeConfig().box))
     seed = spec.vector(seed)
     inserts = {window.dim: 0, window.ext_dim: 0}
     images = 0

@@ -32,6 +32,8 @@ from cartanfree import (
 )
 from cartanfree.analysis import GRID_ALPHA, GRID_BETA, GRID_LAMBDA_MU, GRID_Q
 
+from conftest import spanning_symbols
+
 BOX2_VIR = IndexBox((-2, 2))
 BOX2_LOOP = IndexBox((-2, 2), (-2, 2))
 BOX2_BLOCK = IndexBox((-2, 2), (0, 2))
@@ -106,7 +108,7 @@ def test_virasoro_and_loop_grids(lam, membership_oracle):
             # C(j) acts as 0; each first index i is one class, with one representative
             spec = OmegaLoop(lam, mu, alpha)
             assert check_classes(spec, BOX2_LOOP, POLYS, membership_oracle) == 1
-            assert spec.spanning_symbols(spec.algebra.symbols_in_box(BOX2_LOOP)) == [
+            assert spanning_symbols(spec, spec.algebra.symbols_in_box(BOX2_LOOP)) == [
                 s for s in spec.algebra.symbols_in_box(BOX2_LOOP) if s[0] == "L" and s[2] == -2
             ]
 

@@ -1,12 +1,13 @@
 """Probes act with a spanning subset of the box generators; this must be exact.
 
-`ModuleSpec.spanning_symbols` keeps, among the symbols that share every
-slot's (shift, root), those whose lead vectors are linearly independent,
-and drops the symbols that act as 0.  These tests check that the window
-closure under the subset equals the closure under all box symbols (same
-canonical rows and pivots), that every dropped symbol's image lies in the
-span of the kept symbols' images, and the subset sizes the structure of
-each family predicts.
+`spanning_symbols` (conftest.py, over `ModuleSpec.operator_classes`)
+keeps, among the symbols that share every slot's (shift, root), those
+whose lead vectors are linearly independent, and drops the symbols that
+act as 0.  These tests check that the window closure under the subset
+equals the closure under all box symbols (same canonical rows and
+pivots), that every dropped symbol's image lies in the span of the kept
+symbols' images, and the subset sizes the structure of each family
+predicts.
 """
 
 import pytest
@@ -23,6 +24,8 @@ from cartanfree import (
 )
 from cartanfree.analysis import _OperatorColumns, _closure
 from cartanfree.linalg import SpanBasis, VectorWindow
+
+from conftest import spanning_symbols
 
 BOX2_LOOP = IndexBox((-2, 2), (-2, 2))
 BOX2_BLOCK = IndexBox((-2, 2), (0, 2))
@@ -51,7 +54,7 @@ IDS = [c[0] for c in CASES]
 
 def _split(spec, box):
     syms = spec.algebra.symbols_in_box(box)
-    kept = spec.spanning_symbols(syms)
+    kept = spanning_symbols(spec, syms)
     return syms, kept
 
 
