@@ -54,6 +54,18 @@ stops.  A probe that fills the window closes one seed in full, and the
 others stop after a round or so.  ``ProbeVerdict.stats`` names the seeds
 that adopted a closure and counts the operators.
 
+Blocks.  When no operator acts across two groups of tensor slots (each
+operator's slots lie in one block of a partition with two or more blocks,
+as for distinct (lambda, mu) pairs), a seed that is one monomial and that
+no earlier closure holds closes block by block: its factor in each block
+closes in that block's own window, (D + 1)^|B| monomials staged in
+(D + 2)^|B|, under that block's operators, and the closure is the tensor
+product of the block closures.  That is exact (``_closure`` gives the
+argument), with the same rows and pivots as the whole-window closure, and
+no basis over the whole (D + 2)^m staging window is built.  A probe whose
+operators leave one block (one variable, or a repeated pair) closes as
+before.
+
 ``module_axiom_check`` uses the same operator classes
 (``ModuleSpec.operator_classes``) for its nested actions, and still
 evaluates every (x, y, f) identity exactly.  Single actions x.f are
@@ -236,13 +248,32 @@ class _OperatorColumns:
     one slot image, and its column lies on m_k's slot line.  The
     denominators matter: a Block shift m*q with q not an integer gives each
     monomial its own.
+
+    ``block`` gives a view of the same operators on some of the slots, over
+    a window in those slots' variables alone (the blocks of ``_closure``).
+    A view keeps its own columns but reads and fills this table's slot
+    images, keyed by the slot's index in the spec, so ``act_basis`` still
+    runs once per (slot, generator, exponent) across one probe's block and
+    whole closures.
     """
 
-    def __init__(self, spec: ModuleSpec, window: VectorWindow):
-        self._slots = spec._slots()
+    def __init__(
+        self,
+        spec: ModuleSpec,
+        window: VectorWindow,
+        slots: Sequence[int] | None = None,
+        slot_images: dict | None = None,
+    ):
+        self._spec = spec
+        specs = spec._slots()
+        self._slots = [(s, specs[s]) for s in (range(len(specs)) if slots is None else slots)]
         self._window = window
         self._columns: dict = {}
-        self._slot_images: dict = {}
+        self._slot_images: dict = {} if slot_images is None else slot_images
+
+    def block(self, slots: tuple[int, ...], window: VectorWindow) -> "_OperatorColumns":
+        """The view on slots (increasing; its slot j is slots[j]) over window, in len(slots) variables."""
+        return _OperatorColumns(self._spec, window, slots, self._slot_images)
 
     def column(self, g: BasisSymbol, k: int, slots: tuple[int, ...] | None = None) -> tuple[dict, int]:
         key = (g, k, slots)
@@ -252,9 +283,10 @@ class _OperatorColumns:
             images = []
             for s in range(len(mono)) if slots is None else slots:
                 e = mono[s]
-                image = self._slot_images.get((s, g, e))
+                slot, slot_spec = self._slots[s]
+                image = self._slot_images.get((slot, g, e))
                 if image is None:
-                    image = self._slot_images[s, g, e] = self._slots[s].act_basis(g, _t_power(e))
+                    image = self._slot_images[slot, g, e] = slot_spec.act_basis(g, _t_power(e))
                 images.append((s, image))
             col = self._columns[key] = self._window.ext_column(k, images)
         return col
@@ -293,24 +325,15 @@ def _closure(
     window: VectorWindow,
     max_rounds: int | None = None,
     known: Sequence[tuple[dict, SpanBasis]] = (),
+    blocks: Sequence[tuple[tuple[int, ...], Sequence, Callable[[object, dict], dict], VectorWindow]] = (),
 ) -> SpanBasis:
     """Window closure of span{seed} under the actions of gens.
-
-    One basis in the window's staging layout (``VectorWindow.ext_vector``)
-    takes the seed and every image.  Its rows with an inside pivot span
-    exactly its span intersected with the window, and each round acts on
-    those whose pivot is new since the round before: an older inside row
-    has since changed only by multiples of newer inside rows, whose images
-    come in their turn.  Every vector the closure keeps is an exact
-    submodule member, so a filled window never overclaims, and by
-    linearity the loop reaches a true fixpoint.
 
     act(g, row) is the staging numerator map of g applied to an inside
     row, up to scale: a probe hands over ``_OperatorColumns.apply`` with
     the operators of ``ModuleSpec.probe_operators``, so each image is read
     off the operator columns, and no polynomial is rebuilt from a row nor
-    acted on here.  SpanBasis replaces rows rather than changing them, so
-    each round's frontier is a snapshot.
+    acted on here (``_fixpoint`` runs the rounds).
 
     gens need only span the operators of the box generators (such as
     ``ModuleSpec.probe_operators``, or the box symbols themselves): every
@@ -325,16 +348,75 @@ def _closure(
     returned as it is.  The closure is returned in window coordinates; its
     rows are the inside rows' tails, already reduced.  Everything here
     stays on integers, and no GaussianRational is made.
+
+    blocks, when there are two or more, split the window's slots: one
+    (slots, operators, act, window) per block, each operator acting in
+    that block's slots alone (local slot numbers), act its
+    ``_OperatorColumns.block`` view and window the block's own window in
+    len(slots) variables, at the same degree (``_blocks``).  A seed that
+    is one monomial, with no known closure, then closes block by block:
+    its factor m_B in each block B closes in B's window under B's
+    operators, to C_B, and the closure is the tensor product of the C_B
+    (``_tensor``).  That is exact.  Write W = (x)W_B for the window and
+    E = (x)E_B for the staging space, V = (x)C_B, and
+    S_B = span(C_B and ops_B(C_B)) in E_B, so that S_B meets W_B in C_B
+    (C_B is B's fixpoint).  An operator of block B maps V into
+    S_B (x) (the other C's), so span(V and ops(V)) is the sum of those.
+    Take a complement T_B of C_B in S_B; it meets W_B only in 0, so the
+    projection of block B onto its outside-the-window part is injective on
+    T_B (x) (the other C's), and it kills V and every other block's term
+    (their block-B factor lies in C_B, inside W_B).  A vector of the sum
+    that lies in W thus has no T_B part for any B: span(V and ops(V))
+    meets W in V, V is a fixpoint holding the seed, and the closure lies in
+    V.  Conversely each (x)c_B is reached block by block, since an operator
+    of B acting on c (x) (the other factors) changes only the block-B
+    factor, and the window cuts that factor alone.  So V is the closure.
+    Its rows and pivots are those of the whole-window closure: RREF and the
+    primitive integer form are canonical.  max_rounds bounds each block's
+    rounds.
+    """
+    vec = window.ext_vector(seed)[0]
+    if len(blocks) > 1 and len(vec) == 1 and not known:
+        (k,) = vec
+        mono = window.monomials[k - window.n_outside]
+        parts = []
+        for slots, ops, block_act, block_window in blocks:
+            j = block_window.monomials.index(tuple(mono[s] for s in slots))
+            start = {block_window.n_outside + j: (1, 0)}
+            parts.append((slots, block_window, _fixpoint(start, ops, block_act, block_window, max_rounds)))
+        return _tensor(window, parts)
+    return _fixpoint(vec, gens, act, window, max_rounds, known)
+
+
+def _fixpoint(
+    vec: dict,
+    gens: Sequence,
+    act: Callable[[object, dict], dict],
+    window: VectorWindow,
+    max_rounds: int | None,
+    known: Sequence[tuple[dict, SpanBasis]] = (),
+) -> SpanBasis:
+    """The rounds of ``_closure``, from the staging map vec of the seed.
+
+    One basis in the window's staging layout (``VectorWindow.ext_vector``)
+    takes the seed and every image.  Its rows with an inside pivot span
+    exactly its span intersected with the window, and each round acts on
+    those whose pivot is new since the round before: an older inside row
+    has since changed only by multiples of newer inside rows, whose images
+    come in their turn.  Every vector the closure keeps is an exact
+    submodule member, so a filled window never overclaims, and by
+    linearity the loop reaches a true fixpoint.  SpanBasis replaces rows
+    rather than changing them, so each round's frontier is a snapshot.
     """
     n_out = window.n_outside
     staged = SpanBasis(window.ext_dim)
-    staged.insert(window.ext_vector(seed)[0])
+    staged.insert(vec)
     acted: set[int] = set()
     rounds = 0
     budget = max_rounds if max_rounds is not None else window.dim + 2
     while True:
-        for vec, closure in known:
-            if staged.contains(vec):
+        for v, closure in known:
+            if staged.contains(v):
                 return closure
         first = bisect_left(staged.pivots, n_out)  # inside rows come last
         if staged.rank - first == window.dim:
@@ -361,6 +443,65 @@ def _closure(
     for row in staged.num_rows[first:]:
         closure.insert({k - n_out: pair for k, pair in row.items()})
     return closure
+
+
+def _tensor(window: VectorWindow, parts: Sequence[tuple[tuple[int, ...], VectorWindow, SpanBasis]]) -> SpanBasis:
+    """The tensor product of block closures (slots, block window, closure), as a SpanBasis over window.
+
+    The product of one row from each block is already reduced.  Window
+    monomials run in degree-lex order, a monomial order in which every
+    block's own order is the restriction, so the least monomial of a
+    product row is the product of the rows' pivots; and no other product
+    row holds it, since each pivot column is zero in its block's other
+    rows.  Inserted in descending pivot order, no row meets an earlier
+    pivot, so ``insert`` only makes each row primitive (a product of
+    primitive rows can share a rational factor, as (1+i)^2 = 2i does).
+    """
+    at = {e: k for k, e in enumerate(window.monomials)}
+    zero = (0,) * window.nvars
+    rows: list[dict] = [{zero: (1, 0)}]
+    for slots, block_window, closure in parts:
+        lifted = []
+        for e in block_window.monomials:
+            full = list(zero)
+            for s, x in zip(slots, e):
+                full[s] = x
+            lifted.append(full)
+        rows = [
+            {
+                tuple(x + y for x, y in zip(e, lifted[j])): (a * c - b * d, a * d + b * c)
+                for e, (a, b) in row.items()
+                for j, (c, d) in block_row.items()
+            }
+            for row in rows
+            for block_row in closure.num_rows
+        ]
+    product = [{at[e]: x for e, x in row.items()} for row in rows]
+    basis = SpanBasis(window.dim)
+    for row in sorted(product, key=min, reverse=True):
+        basis.insert(row)
+    return basis
+
+
+def _blocks(ops: Sequence, columns: _OperatorColumns, window: VectorWindow) -> list:
+    """The blocks of ``_closure`` for a probe's operators, or [] when the slots form one block.
+
+    The blocks are the finest partition of the slots in which each
+    operator's slots lie in one block; slots None joins every slot.
+    """
+    parts = [{s} for s in range(window.nvars)]
+    for _, slots in ops:
+        joined = set(range(window.nvars) if slots is None else slots)
+        parts = [p for p in parts if not p & joined] + [set().union(*[p for p in parts if p & joined])]
+    if len(parts) == 1:
+        return []
+    out = []
+    for slots in sorted(tuple(sorted(p)) for p in parts):
+        local = {s: j for j, s in enumerate(slots)}
+        block_window = VectorWindow(window.max_degree, len(slots))
+        block_ops = [(g, tuple(local[s] for s in op_slots)) for g, op_slots in ops if op_slots[0] in local]
+        out.append((slots, block_ops, columns.block(slots, block_window).apply, block_window))
+    return out
 
 
 def _escapes(image, k: int) -> bool:
@@ -441,6 +582,13 @@ def tensor_irreducibility_probe(
     closure is affirmative evidence only; a proper closure matching a
     zero-constant-term slice in one tensor slot is certified the same way
     as in the single-factor probe.
+
+    Where the operators separate the slots into blocks (distinct
+    (lambda, mu) pairs separate every slot; a repeated pair keeps its
+    slots in one block), a monomial seed that no earlier closure holds
+    closes in each block's own window, and its closure is the tensor
+    product of the block closures (see the module docstring); the verdict
+    is the same as the whole-window closure's.
     """
     if not isinstance(spec, TensorOmega):
         spec = TensorOmega(list(spec))
@@ -452,14 +600,18 @@ def tensor_irreducibility_probe(
 def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
     """The probe body shared by both public probes.
 
-    Seeds close in order.  Before seed b closes, the earlier seeds a whose
-    closure holds b are listed for ``_closure``, which returns closure(a)
-    once one of them lies in b's staged span.
+    ``_blocks`` reads the partition of the slots off the operators once,
+    and every seed's ``_closure`` gets it.  Seeds close in order.  Before
+    seed b closes, the earlier seeds a whose closure holds b are listed for
+    ``_closure``, which returns closure(a) once one of them lies in b's
+    staged span.
     """
     window = VectorWindow(cfg.max_degree, spec.nvars)
     n_out = window.n_outside
     ops = spec.probe_operators(spec.algebra.symbols_in_box(cfg.box))
-    act = _OperatorColumns(spec, window).apply
+    columns = _OperatorColumns(spec, window)
+    act = columns.apply
+    blocks = _blocks(ops, columns, window)
     seed_dims: dict[str, int] = {}
     closed: list[tuple[str, dict, SpanBasis]] = []  # (seed, staging map, closure) per seed so far
     adopted: dict[str, str] = {}
@@ -469,7 +621,7 @@ def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
         vec = window.ext_vector(seed)[0]
         inside = {k - n_out: x for k, x in vec.items()}
         known = [(v, basis) for _, v, basis in closed if basis.contains(inside)]
-        basis = _closure(seed, ops, act, window, known=known)
+        basis = _closure(seed, ops, act, window, known=known, blocks=blocks)
         name = str(seed)
         seed_dims[name] = basis.rank
         owner = next((a for a, _, b in closed if b is basis), None)
