@@ -13,10 +13,10 @@ Consequently
   never a proof;
 * ``ProperInvariantWindow`` comes in two strengths, recorded in the
   verdict: plain window evidence, or a certified invariant subspace when
-  the closure is exactly the zero-constant-term slice of the window and an
-  independent invariance sweep confirms that every generator in the box
-  preserves that slice.  The certified case is a genuine witness of
-  non-simplicity.
+  the closure is exactly the t_k-multiples slice of the window for some
+  slot k and every box generator keeps all of t_k * C[t] (``_certificate``:
+  one image per generator decides it).  The certified case is a genuine
+  witness of non-simplicity.
 
 A probe acts with the operators of ``ModuleSpec.probe_operators``, read
 off the operator classes of the box generators.  Generators that share
@@ -41,9 +41,9 @@ monomial.  One table serves all the seeds of one probe and dies with it,
 holding at most |operators| * window.dim columns.  A frontier row of the
 closure is nearly always a unit row (one monomial), whose image is its
 column; any other row's image is the integer combination of its columns.
-The certificate sweep and ``submodule_invariance_check`` do not use the
-columns: they apply every box generator with ``act_basis``, so a certified
-verdict rests on an independent computation.
+The certificate and ``submodule_invariance_check`` do not use the
+columns: they apply box generators with ``act_basis``, so a certified
+verdict rests on a computation apart from the closure's.
 
 Seeds adopt known closures.  The window closure is monotone: if v lies in
 closure(w), then closure(v) is inside closure(w).  So before seed b
@@ -106,7 +106,7 @@ from .modules import (
     derive_parameters,
     strip_t,
 )
-from .polynomials import P_ONE, Polynomial, T, _t_power, monomial, parse_polynomial
+from .polynomials import P_ONE, Polynomial, T, _canon, _t_power, monomial, parse_polynomial, rank_one_rule
 from .scalars import GaussianRational, I, ONE, scalar
 
 __all__ = [
@@ -179,8 +179,10 @@ class ProbeVerdict:
     ``fills`` means every seed's closure reached the full window dimension.
     Otherwise ``dim`` is the smallest closure found, ``witness`` is a window
     monomial outside it, and ``certificate`` records whether the invariant
-    subspace was independently certified ("invariant-certified") or is
-    window-level evidence only ("window-evidence").
+    subspace was certified ("invariant-certified") or is window-level
+    evidence only ("window-evidence").  A certificate rests on the closure
+    being the t_k-slice of the window and on one ``act_basis`` image per box
+    generator, of t_k, that stays a t_k-multiple (see ``_certificate``).
 
     ``stats`` says what the closures cost: ``operators`` counts the
     operators each closure applied (``count``) and those acting in one
@@ -241,20 +243,20 @@ class _OperatorColumns:
     Column (g, k, slots) is the staging numerator map of that operator
     applied to m_k, the k-th window monomial, with its denominator.  Slot s
     sends m_k to (g . t^e)(t_s) times m_k's other factors, for e its
-    exponent in slot s, and the slot spec's ``act_basis`` runs once per
-    (slot, generator, exponent), whichever operators share it, so the
-    table keeps at most |gens| * nvars * (D + 1) slot images besides its
-    columns.  A one-slot operator (``ModuleSpec.probe_operators``) reads
-    one slot image, and its column lies on m_k's slot line.  The
-    denominators matter: a Block shift m*q with q not an integer gives each
-    monomial its own.
+    exponent in slot s.  These slot images are kept per (slot, generator,
+    exponent) for all operators that share them: g . 1 from the slot spec's
+    ``act_basis``, once per (slot, generator), and each higher one by the
+    step g . t^e = (t - s_g) * (g . t^(e-1)), one multiply by a linear
+    factor where ``act_basis`` on t^e would shift t^e and then multiply.  A
+    one-slot operator reads one slot image, and its column lies on m_k's
+    slot line.  The denominators matter: a Block shift m*q with q not an
+    integer gives each monomial its own.
 
     ``block`` gives a view of the same operators on some of the slots, over
     a window in those slots' variables alone (the blocks of ``_closure``).
     A view keeps its own columns but reads and fills this table's slot
-    images, keyed by the slot's index in the spec, so ``act_basis`` still
-    runs once per (slot, generator, exponent) across one probe's block and
-    whole closures.
+    images and steps, keyed by the slot's index in the spec, so each slot
+    image is still made once across one probe's block and whole closures.
     """
 
     def __init__(
@@ -262,18 +264,18 @@ class _OperatorColumns:
         spec: ModuleSpec,
         window: VectorWindow,
         slots: Sequence[int] | None = None,
-        slot_images: dict | None = None,
+        shared: tuple[dict, dict] | None = None,
     ):
         self._spec = spec
         specs = spec._slots()
         self._slots = [(s, specs[s]) for s in (range(len(specs)) if slots is None else slots)]
         self._window = window
         self._columns: dict = {}
-        self._slot_images: dict = {} if slot_images is None else slot_images
+        self._slot_images, self._steps = ({}, {}) if shared is None else shared
 
     def block(self, slots: tuple[int, ...], window: VectorWindow) -> "_OperatorColumns":
         """The view on slots (increasing; its slot j is slots[j]) over window, in len(slots) variables."""
-        return _OperatorColumns(self._spec, window, slots, self._slot_images)
+        return _OperatorColumns(self._spec, window, slots, (self._slot_images, self._steps))
 
     def column(self, g: BasisSymbol, k: int, slots: tuple[int, ...] | None = None) -> tuple[dict, int]:
         key = (g, k, slots)
@@ -282,14 +284,30 @@ class _OperatorColumns:
             mono = self._window.monomials[k]
             images = []
             for s in range(len(mono)) if slots is None else slots:
-                e = mono[s]
-                slot, slot_spec = self._slots[s]
-                image = self._slot_images.get((slot, g, e))
-                if image is None:
-                    image = self._slot_images[slot, g, e] = slot_spec.act_basis(g, _t_power(e))
-                images.append((s, image))
+                images.append((s, self._slot_image(*self._slots[s], g, mono[s])))
             col = self._columns[key] = self._window.ext_column(k, images)
         return col
+
+    def _slot_image(self, slot: int, slot_spec: ModuleSpec, g: BasisSymbol, e: int):
+        """g . t^e in one slot: g . 1 by ``act_basis``, then g . t^j = (t - s_g) * (g . t^(j-1))."""
+        images = self._slot_images
+        j = e  # the highest exponent imaged so far, up to e
+        while j and (slot, g, j) not in images:
+            j -= 1
+        if (slot, g, j) not in images:
+            images[slot, g, 0] = slot_spec.act_basis(g, P_ONE)
+        for j in range(j + 1, e + 1):
+            below = images[slot, g, j - 1]
+            images[slot, g, j] = below and below.apply_rank_one(self._step(slot_spec, g))
+        return images[slot, g, e]
+
+    def _step(self, slot_spec: ModuleSpec, g: BasisSymbol) -> tuple[int, ...]:
+        """The ``rank_one_rule`` of the multiply by t - s_g, from the integer shift of g's rule."""
+        step = self._steps.get(g)
+        if step is None:
+            sp, si, sq = slot_spec._rule(g)[3][:3]
+            step = self._steps[g] = rank_one_rule(0, T - _canon([sp], [si], sq))
+        return step
 
     def image(self, g: BasisSymbol, row: dict, slots: tuple[int, ...] | None = None) -> dict:
         """Staging numerator map of g (in slots; None: every slot) applied to an inside staging row, up to scale.
@@ -531,9 +549,15 @@ def _certificate(spec: ModuleSpec, box: IndexBox, window: VectorWindow, closure:
     """Certify a proper closure as the t_k-multiples slice of the window, for some slot k.
 
     For one variable the slot-0 slice is the zero-constant-term slice.  The
-    closure must be exactly that slice, and an independent sweep must show
-    that every box generator keeps the slice: exact, but finite, so it
-    certifies invariance for the box generators on the window.
+    closure must be exactly that slice, and each box generator, applied
+    once to t_k with ``act_basis`` (not through the operator columns), must
+    keep t_k a t_k-multiple.  That covers all of t_k * C[t]: by the
+    rank-one (Leibniz) rule, x . (t_k f) = f(t - s_x e_k) * (t_k - s_x) * x_k
+    plus the other slots' terms, which keep their t_k factor (x_k is x . 1
+    in slot k), and the first term is a t_k-multiple for every f exactly
+    when x . t_k is one.  So multiplication by t_k maps the module whose
+    x . 1 is (x . t_k)/t_k onto t_k * C[t], and the certificate holds on
+    all of t_k * C[t], not only on the window.
     """
     monos = window.monomials
     for k in range(window.nvars):
@@ -542,8 +566,8 @@ def _certificate(spec: ModuleSpec, box: IndexBox, window: VectorWindow, closure:
             continue
         if any(not outside.isdisjoint(row) for row in closure.num_rows):
             continue
-        slice_basis = [window.monomial(idx) for idx, e in enumerate(monos) if e[k]]
-        if _sweep(spec, box, slice_basis, k)[1] is None:
+        t_k = window.monomial(monos.index(tuple(int(j == k) for j in range(window.nvars))))
+        if _sweep(spec, box, [t_k], k)[1] is None:
             return "invariant-certified"
     return "window-evidence"
 
@@ -579,9 +603,9 @@ def tensor_irreducibility_probe(
     """Span-closure probe for tensor products of loop factors.
 
     The window caps every variable's degree at cfg.max_degree.  A full
-    closure is affirmative evidence only; a proper closure matching a
-    zero-constant-term slice in one tensor slot is certified the same way
-    as in the single-factor probe.
+    closure is affirmative evidence only; a proper closure equal to the
+    t_k-multiples slice of the window is certified as in the single-factor
+    probe, by each box generator applied once to t_k (``_certificate``).
 
     Where the operators separate the slots into blocks (distinct
     (lambda, mu) pairs separate every slot; a repeated pair keeps its

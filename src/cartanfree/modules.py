@@ -89,14 +89,14 @@ class ModuleSpec:
 
     A rank-one family is fixed by its entries x . 1: ``act_basis`` applies
     the one rule x . f(t) = f(t - s_x) * (x . 1).  A family defines
-    ``entry`` and ``params``; the rule is memoized once per symbol as
-    (shift, root, lead, kernel).  (shift, root, lead) factor it with
-    x . 1 = lead * (t - root), or root None when x . 1 is the constant lead;
-    ``_classes`` compares them.  kernel keeps s_x and x . 1 as
-    integer numerators (``polynomials.rank_one_rule``), and ``act_basis``
-    runs it as one fused integer pass, a Taylor shift, a multiply by the
-    degree-<=1 entry and one canonicalisation, with no scalar objects in
-    between.  ``TensorOmega`` runs the same kernel in each tensor slot.
+    ``entry`` (parameter powers from the ``_power`` memo) and ``params``;
+    the rule, read off the integer numerators of x . 1, is memoized once
+    per symbol as (shift, root, lead, kernel).  (shift, root, lead) factor
+    it with x . 1 = lead * (t - root), or root None when x . 1 is the
+    constant lead; ``_classes`` compares them.  kernel keeps s_x and x . 1
+    as integer numerators (``polynomials.rank_one_rule``), and ``act_basis``
+    runs it as one fused integer pass.  ``TensorOmega`` runs the same kernel
+    in each tensor slot.
 
     One grouping (``_classes``) serves both users of this factoring, and
     each runs only the elimination its question needs: the closure probe
@@ -112,13 +112,23 @@ class ModuleSpec:
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self._rules: dict[BasisSymbol, tuple] = {}
+        self._powers: dict[tuple[str, int], GaussianRational] = {}
 
     def entry(self, sym: BasisSymbol) -> Polynomial:
         """x . 1 for a valid basis symbol x; P_ZERO when x annihilates."""
         raise NotImplementedError
 
+    def _power(self, name: str, k: int) -> GaussianRational:
+        """The parameter ``name`` (lam or mu) to the power k, memoized on this spec."""
+        if (name, k) not in self._powers:
+            self._powers[name, k] = getattr(self, name) ** k
+        return self._powers[name, k]
+
     def _rule(self, sym: BasisSymbol) -> tuple:
-        """(shift, root, lead, kernel) of sym, validated and factored on first use; () acts as 0."""
+        """(shift, root, lead, kernel) of sym, validated and factored on first use; () acts as 0.
+
+        x . 1 = (r0 + i0*i + (r1 + i1*i)*t)/d: lead = (r1 + i1*i)/d, root = -(r0 + i0*i)/(r1 + i1*i).
+        """
         rule = self._rules.get(sym)
         if rule is None:
             self.algebra.validate_symbol(sym)
@@ -127,10 +137,14 @@ class ModuleSpec:
                 rule = ()
             else:
                 shift = _shift_amount(self.algebra, sym)
-                if e.degree == 0:
-                    root, lead = None, e.constant_term
+                make, re, im, d = GaussianRational._make, e._re, e._im, e._den
+                if len(re) > 2:
+                    _read_linear(e, sym)  # raises DegreeMismatchError
+                if len(re) == 1:
+                    root, lead = None, make(re[0], im[0], d)
                 else:
-                    lead, root = _read_linear(e, sym)
+                    (r0, r1), (i0, i1) = re, im
+                    lead, root = make(r1, i1, d), make(-r0 * r1 - i0 * i1, r0 * i1 - i0 * r1, r1 * r1 + i1 * i1)
                 rule = (shift, root, lead, rank_one_rule(shift, e))
             self._rules[sym] = rule
         return rule
@@ -282,7 +296,7 @@ def _nonzero(name: str, v: ScalarLike) -> GaussianRational:
 
 def _linear(lead: GaussianRational, root: GaussianRational) -> Polynomial:
     """lead * (t - root)."""
-    return Polynomial((-lead * root, lead))
+    return Polynomial._from_scalars((-lead * root, lead))
 
 
 class OmegaVir(ModuleSpec):
@@ -300,7 +314,7 @@ class OmegaVir(ModuleSpec):
         if sym[0] == "C":
             return P_ZERO
         i = sym[1]
-        return _linear(self.lam**i, self.alpha.mul_int(i))
+        return _linear(self._power("lam", i), self.alpha.mul_int(i))
 
 
 class OmegaLoop(ModuleSpec):
@@ -319,7 +333,7 @@ class OmegaLoop(ModuleSpec):
         if sym[0] == "C":
             return P_ZERO
         i, j = sym[1], sym[2]
-        return _linear(self.lam ** (i - j) * self.mu**j, self.alpha.mul_int(i))
+        return _linear(self._power("lam", i - j) * self._power("mu", j), self.alpha.mul_int(i))
 
 
 class OmegaBlock(ModuleSpec):
@@ -343,7 +357,7 @@ class OmegaBlock(ModuleSpec):
         if sym[0] == "C" or sym[2] != 0:
             return P_ZERO
         m = sym[1]
-        return _linear(self.lam**m, self.q.mul_int(m) * self.alpha)
+        return _linear(self._power("lam", m), self.q.mul_int(m) * self.alpha)
 
 
 class OmegaBlockHV(ModuleSpec):
@@ -366,8 +380,8 @@ class OmegaBlockHV(ModuleSpec):
             return P_ZERO
         m = sym[1]
         if sym[2] == 1:
-            return constant(self.lam**m * self.beta)
-        return _linear(self.lam**m, self.alpha.mul_int(-m))
+            return constant(self._power("lam", m) * self.beta)
+        return _linear(self._power("lam", m), self.alpha.mul_int(-m))
 
 
 class TensorOmega(ModuleSpec):
