@@ -62,9 +62,13 @@ closes in that block's own window, (D + 1)^|B| monomials staged in
 (D + 2)^|B|, under that block's operators, and the closure is the tensor
 product of the block closures.  That is exact (``_closure`` gives the
 argument), with the same rows and pivots as the whole-window closure, and
-no basis over the whole (D + 2)^m staging window is built.  A probe whose
-operators leave one block (one variable, or a repeated pair) closes as
-before.
+no basis over the whole (D + 2)^m staging window is built.  When every
+block closure fills its block window, the product is the whole window,
+and the closure is the identity basis (``SpanBasis.identity``), built
+with no elimination; only a proper block's product is built row by row
+(``_tensor``), since its witness and certificate read those rows.  A
+probe whose operators leave one block (one variable, or a repeated pair)
+closes as before.
 
 ``module_axiom_check`` uses the same operator classes
 (``ModuleSpec.operator_classes``) for its nested actions, and still
@@ -249,8 +253,9 @@ class _OperatorColumns:
     step g . t^e = (t - s_g) * (g . t^(e-1)), one multiply by a linear
     factor where ``act_basis`` on t^e would shift t^e and then multiply.  A
     one-slot operator reads one slot image, and its column lies on m_k's
-    slot line.  The denominators matter: a Block shift m*q with q not an
-    integer gives each monomial its own.
+    slot line; in one variable the column is that image's own staging
+    map.  The denominators matter: a Block shift m*q with q not an integer
+    gives each monomial its own.
 
     ``block`` gives a view of the same operators on some of the slots, over
     a window in those slots' variables alone (the blocks of ``_closure``).
@@ -390,8 +395,11 @@ def _closure(
     of B acting on c (x) (the other factors) changes only the block-B
     factor, and the window cuts that factor alone.  So V is the closure.
     Its rows and pivots are those of the whole-window closure: RREF and the
-    primitive integer form are canonical.  max_rounds bounds each block's
-    rounds.
+    primitive integer form are canonical.  When every C_B is all of W_B, V
+    is all of W, whose canonical form is the identity basis (pivot k, row
+    {k: (1, 0)}); it is returned as such (``SpanBasis.identity``), and only
+    a proper product is built by ``_tensor``.  max_rounds bounds each
+    block's rounds.
     """
     vec = window.ext_vector(seed)[0]
     if len(blocks) > 1 and len(vec) == 1 and not known:
@@ -402,6 +410,8 @@ def _closure(
             j = block_window.monomials.index(tuple(mono[s] for s in slots))
             start = {block_window.n_outside + j: (1, 0)}
             parts.append((slots, block_window, _fixpoint(start, ops, block_act, block_window, max_rounds)))
+        if all(closure.rank == block_window.dim for _, block_window, closure in parts):
+            return SpanBasis.identity(window.dim)
         return _tensor(window, parts)
     return _fixpoint(vec, gens, act, window, max_rounds, known)
 
@@ -466,12 +476,13 @@ def _fixpoint(
 def _tensor(window: VectorWindow, parts: Sequence[tuple[tuple[int, ...], VectorWindow, SpanBasis]]) -> SpanBasis:
     """The tensor product of block closures (slots, block window, closure), as a SpanBasis over window.
 
-    The product of one row from each block is already reduced.  Window
-    monomials run in degree-lex order, a monomial order in which every
-    block's own order is the restriction, so the least monomial of a
-    product row is the product of the rows' pivots; and no other product
-    row holds it, since each pivot column is zero in its block's other
-    rows.  Inserted in descending pivot order, no row meets an earlier
+    ``_closure`` calls it only when some block closure is proper (a filled
+    product is the identity basis).  The product of one row from each
+    block is already reduced.  Window monomials run in degree-lex order, a
+    monomial order in which every block's own order is the restriction,
+    so the least monomial of a product row is the product of the rows'
+    pivots; and no other product row holds it, since each pivot column is
+    zero in its block's other rows.  Inserted in descending pivot order, no row meets an earlier
     pivot, so ``insert`` only makes each row primitive (a product of
     primitive rows can share a rational factor, as (1+i)^2 = 2i does).
     """
@@ -611,13 +622,19 @@ def tensor_irreducibility_probe(
     (lambda, mu) pairs separate every slot; a repeated pair keeps its
     slots in one block), a monomial seed that no earlier closure holds
     closes in each block's own window, and its closure is the tensor
-    product of the block closures (see the module docstring); the verdict
-    is the same as the whole-window closure's.
+    product of the block closures (see the module docstring), or the
+    identity basis when every block fills; the verdict is the same as the
+    whole-window closure's.
+
+    Any number of factors is accepted.  What bounds the request is the
+    window: (D + 1)^m monomials for m factors, at most
+    ``polynomials.WINDOW_CAP`` (2^16), or ``VectorWindow`` raises
+    ``WindowBudgetError`` before it lists a monomial.  A separated probe
+    costs little per factor; one whose slots do not separate (too few
+    second indices in the box, or equal mu/lambda) closes the whole window.
     """
     if not isinstance(spec, TensorOmega):
         spec = TensorOmega(list(spec))
-    if spec.nvars > 3:
-        raise ValueError("tensor probes support at most 3 factors at desk scale")
     return _probe(spec, cfg, "tensor-irreducibility")
 
 

@@ -48,6 +48,11 @@ class DegreeOverflowError(ToolkitError):
     window; callers must discard the offending value, never truncate it."""
 
 
+class WindowBudgetError(ToolkitError):
+    """A probe window holds more monomials than ``WINDOW_CAP``; refused
+    before any monomial list is built."""
+
+
 class KindMismatchError(ToolkitError):
     """Operands belong to different algebras, or a symbol/module pairing
     is invalid."""

@@ -19,6 +19,7 @@ denominator, or as numerator maps, whose scale does not matter.
 ``num_rows`` gives the maps themselves, ``kernel`` a null-space basis read
 off them, and ``rows`` the GaussianRational view of the form, built one
 row per access (tests and the benchmark read it; no program code does).
+``identity`` gives the whole space in this form, with no elimination.
 
 ``VectorWindow`` reads the staging maps of probe vectors and operator
 columns straight from the integer storage of ``Polynomial`` and
@@ -33,8 +34,8 @@ from collections.abc import Sequence
 from itertools import product
 from math import gcd, lcm
 
-from .errors import DegreeOverflowError, DimensionMismatchError
-from .polynomials import MultiPolynomial, Polynomial, _t_power
+from .errors import DegreeOverflowError, DimensionMismatchError, WindowBudgetError
+from .polynomials import WINDOW_CAP, MultiPolynomial, Polynomial, _t_power
 from .scalars import GaussianRational, ZERO
 
 __all__ = ["SpanBasis", "VectorWindow"]
@@ -136,6 +137,14 @@ class SpanBasis:
         self.pivots: list[int] = []
         self._by_pivot: dict[int, Numerators] = {}
 
+    @classmethod
+    def identity(cls, ncols: int) -> "SpanBasis":
+        """The whole space: pivot k with the unit row {k: (1, 0)} for every column, no elimination run."""
+        basis = cls(ncols)
+        basis.pivots = list(range(ncols))
+        basis._by_pivot = {k: {k: (1, 0)} for k in range(ncols)}
+        return basis
+
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -236,7 +245,9 @@ class VectorWindow:
     monomials with every exponent <= D, enumerated in degree-lex order
     (``monomials``).  Polynomials reaching outside the window raise
     DegreeOverflowError; callers must discard such values rather than
-    truncate them.
+    truncate them.  A window of more than ``WINDOW_CAP`` monomials,
+    (D + 1)^m in m variables, raises WindowBudgetError before any
+    monomial is listed.
 
     A closure probe keeps its seed and every action image in one basis
     over a one-degree-larger staging window (one extra degree per
@@ -266,6 +277,11 @@ class VectorWindow:
             raise ValueError("window degree must be >= 1")
         if nvars < 1:
             raise ValueError("need at least one variable")
+        if (max_degree + 1) ** nvars > WINDOW_CAP:
+            raise WindowBudgetError(
+                f"a window of degree {max_degree} in {nvars} variable(s) holds "
+                f"{max_degree + 1}^{nvars} monomials, over the budget of {WINDOW_CAP}"
+            )
         self.max_degree = max_degree
         self.nvars = nvars
         self.monomials = window_monomials(nvars, max_degree)
@@ -324,8 +340,11 @@ class VectorWindow:
         the monomial's factors outside slot s, and the slots add up (the
         Leibniz rule).  A one-slot operator's column thus lies on the
         monomial's slot-s line.  Two slots meet only at the monomial itself
-        (t_s^j with j its own exponent).
+        (t_s^j with j its own exponent).  In one variable the column is the
+        one slot image's own staging map (``ext_vector``, read by degree).
         """
+        if self.nvars == 1:
+            return self.ext_vector(slot_images[0][1])
         mono = self.monomials[idx]
         at = self._ext_at
         den = lcm(*[p._den for _, p in slot_images])

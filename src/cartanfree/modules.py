@@ -295,8 +295,15 @@ def _nonzero(name: str, v: ScalarLike) -> GaussianRational:
 
 
 def _linear(lead: GaussianRational, root: GaussianRational) -> Polynomial:
-    """lead * (t - root)."""
-    return Polynomial._from_scalars((-lead * root, lead))
+    """lead * (t - root), built on the integer numerators of lead and root with one ``_canon``.
+
+    With lead = (la + lb*i)/ld and root = (ra + rb*i)/rd, over ld * rd the
+    constant term -lead * root has numerator -(la*ra - lb*rb) - (la*rb + lb*ra)*i
+    and the coefficient of t has numerator rd * (la + lb*i).
+    """
+    la, lb, ld = lead.a, lead.b, lead.d
+    ra, rb, rd = root.a, root.b, root.d
+    return _canon([lb * rb - la * ra, la * rd], [-la * rb - lb * ra, lb * rd], ld * rd)
 
 
 class OmegaVir(ModuleSpec):

@@ -53,7 +53,10 @@ a degree, fail loudly above it; a literal's variable indices stop at
 it too, so no parse sizes an exponent list beyond it.  scale and the
 rank-one kernel (with shift, mul_linear and their multivariate forms)
 raise a degree by at most one and leave the bound to their callers: a
-probe's window bounds every vector it keeps, whatever the cap.
+probe's window bounds every vector it keeps, whatever the cap.  The
+window itself is bounded by ``WINDOW_CAP`` (2^16 monomials, (D + 1)^m for
+degree D in m variables), which ``linalg.VectorWindow`` checks before it
+lists a monomial.
 """
 
 from __future__ import annotations
@@ -81,9 +84,11 @@ __all__ = [
     "parse_polynomial",
     "rank_one_rule",
     "DEGREE_CAP",
+    "WINDOW_CAP",
 ]
 
 DEGREE_CAP = 64
+WINDOW_CAP = 1 << 16  # monomials in one probe window, (D + 1)^m for m variables
 _new = object.__new__
 _make = GaussianRational._make
 

@@ -36,6 +36,7 @@ from cartanfree import (
 )
 from cartanfree.algebras import Virasoro
 from cartanfree.analysis import GRID_Q, _OperatorColumns, _closure
+from cartanfree.errors import WindowBudgetError
 from cartanfree.linalg import SpanBasis, VectorWindow
 from cartanfree.scalars import ONE, ZERO
 
@@ -284,9 +285,10 @@ class TestTensorProbe:
         assert verdict.dim == 12  # exponents with t1-part >= 1: 3 * 4
         assert verdict.certificate == "invariant-certified"
 
-    def test_too_many_factors_rejected(self):
-        with pytest.raises(ValueError):
-            tensor_irreducibility_probe([(2, 1, 1)] * 4, ProbeConfig())
+    def test_window_over_budget_rejected(self):
+        # four factors are admitted; 17^4 window monomials are over the budget
+        with pytest.raises(WindowBudgetError):
+            tensor_irreducibility_probe([(2, 1, 1)] * 4, ProbeConfig(max_degree=16))
 
 
 class TestCenterReport:
