@@ -30,7 +30,6 @@ in truncated Block algebras).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
@@ -111,8 +110,38 @@ def _sym_sort_key(s: BasisSymbol):
     return (s[0] != "L", s[1:])
 
 
-@dataclass(frozen=True)
-class IndexBox:
+class _Record:
+    """Field-wise ``==`` and ``repr`` for the report, result and value classes.
+
+    The fields are the instance attributes, in the order ``__init__``
+    assigns them.  Like a dataclass with ``eq``, a record is unhashable
+    unless its class defines ``__hash__`` (``_Frozen``).
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose fields ``__init__`` sets once (through ``object.__setattr__``), hashed on them."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
+class IndexBox(_Frozen):
     """A closed rectangle of basis indices.
 
     ``first`` bounds the first index of L-symbols (inclusive); ``second``
@@ -121,14 +150,13 @@ class IndexBox:
     the loop algebra range over ``second``.
     """
 
-    first: tuple[int, int]
-    second: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.first[0] > self.first[1]:
+    def __init__(self, first: tuple[int, int], second: tuple[int, int] | None = None):
+        if first[0] > first[1]:
             raise ValueError("empty first-index range")
-        if self.second is not None and self.second[0] > self.second[1]:
+        if second is not None and second[0] > second[1]:
             raise ValueError("empty second-index range")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     def as_dict(self, names: Sequence[str]) -> dict:
         d = {names[0]: list(self.first)}
@@ -673,8 +701,7 @@ def parse_element(algebra: Algebra, text: str) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JacobiReport:
+class JacobiReport(_Record):
     """Result of sweeping the Jacobi identity over a box of basis symbols.
 
     Antisymmetry is checked on every unordered pair and the cyclic Jacobi
@@ -692,13 +719,23 @@ class JacobiReport:
     counted as checked without one being formed.
     """
 
-    algebra: Algebra
-    box: IndexBox
-    pairs_checked: int = 0
-    triples_checked: int = 0
-    brackets_evaluated: int = 0
-    sums_evaluated: int = 0
-    violations: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        algebra: Algebra,
+        box: IndexBox,
+        pairs_checked: int = 0,
+        triples_checked: int = 0,
+        brackets_evaluated: int = 0,
+        sums_evaluated: int = 0,
+        violations: list[str] | None = None,
+    ):
+        self.algebra = algebra
+        self.box = box
+        self.pairs_checked = pairs_checked
+        self.triples_checked = triples_checked
+        self.brackets_evaluated = brackets_evaluated
+        self.sums_evaluated = sums_evaluated
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -891,13 +928,13 @@ def jacobi_check(algebra: Algebra, box: IndexBox = DEFAULT_BOX) -> JacobiReport:
     return report
 
 
-@dataclass
-class CentralityReport:
-    algebra: Algebra
-    element: str
-    box: IndexBox
-    central: bool
-    witness: str | None = None
+class CentralityReport(_Record):
+    def __init__(self, algebra: Algebra, element: str, box: IndexBox, central: bool, witness: str | None = None):
+        self.algebra = algebra
+        self.element = element
+        self.box = box
+        self.central = central
+        self.witness = witness
 
     @property
     def ok(self) -> bool:
@@ -953,15 +990,15 @@ def _first_noncommuting(algebra: Algebra, terms: dict, syms: Sequence[BasisSymbo
     return None
 
 
-@dataclass
-class EmbeddingReport:
+class EmbeddingReport(_Record):
     """Result of checking that rescaled zero-row generators of a Block
     algebra bracket exactly like the Virasoro generators they mirror."""
 
-    q: GaussianRational
-    box: IndexBox
-    pairs_checked: int
-    failures: list[str]
+    def __init__(self, q: GaussianRational, box: IndexBox, pairs_checked: int, failures: list[str]):
+        self.q = q
+        self.box = box
+        self.pairs_checked = pairs_checked
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

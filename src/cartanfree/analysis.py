@@ -15,8 +15,11 @@ Consequently
   verdict: plain window evidence, or a certified invariant subspace when
   the closure is exactly the t_k-multiples slice of the window for some
   slot k and every box generator keeps all of t_k * C[t] (``_certificate``:
-  one image per generator decides it).  The certified case is a genuine
-  witness of non-simplicity.
+  one image per generator decides it).  The certificate proves that
+  t_k * C[t] is invariant under the box's generators, so under the
+  subalgebra they generate.  That is a proper submodule of the whole
+  module only when the box generates the algebra, which nothing here
+  checks: a box of L(0, j) alone keeps t * C[t] in a simple loop module.
 
 A probe acts with the operators of ``ModuleSpec.probe_operators``, read
 off the operator classes of the box generators.  Generators that share
@@ -87,7 +90,6 @@ violation's message comes from the direct recomputation of its two sides.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -96,6 +98,8 @@ from .algebras import (
     BasisSymbol,
     DEFAULT_BOX,
     IndexBox,
+    _Frozen,
+    _Record,
     _first_noncommuting,
     centrality_check,
 )
@@ -154,19 +158,17 @@ GRID_Q = (
 DEFAULT_SEEDS = (P_ONE, T, parse_polynomial("t^2+1"), parse_polynomial("t^3-t"))
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Frozen):
     """Finite window for a closure probe: generator box, degree cap, seeds."""
 
-    box: IndexBox = IndexBox((-2, 2), (-2, 2))
-    max_degree: int = 4
-    seeds: tuple = DEFAULT_SEEDS
-
-    def __post_init__(self):
-        if self.max_degree < 1:
+    def __init__(self, box: IndexBox = IndexBox((-2, 2), (-2, 2)), max_degree: int = 4, seeds: tuple = DEFAULT_SEEDS):
+        if max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        if not self.seeds:
+        if not seeds:
             raise ValueError("need at least one seed")
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "seeds", seeds)
 
     def as_dict(self, names: Sequence[str]) -> dict:
         return {
@@ -176,8 +178,7 @@ class ProbeConfig:
         }
 
 
-@dataclass
-class ProbeVerdict:
+class ProbeVerdict(_Record):
     """Outcome of a span-closure probe.
 
     ``fills`` means every seed's closure reached the full window dimension.
@@ -186,7 +187,10 @@ class ProbeVerdict:
     subspace was certified ("invariant-certified") or is window-level
     evidence only ("window-evidence").  A certificate rests on the closure
     being the t_k-slice of the window and on one ``act_basis`` image per box
-    generator, of t_k, that stays a t_k-multiple (see ``_certificate``).
+    generator, of t_k, that stays a t_k-multiple (see ``_certificate``).  It
+    proves that the box's generators keep all of t_k * C[t]; that makes
+    t_k * C[t] a proper submodule of the whole module only when the box
+    generates the algebra, which is not checked.
 
     ``stats`` says what the closures cost: ``operators`` counts the
     operators each closure applied (``count``) and those acting in one
@@ -194,16 +198,29 @@ class ProbeVerdict:
     earlier seed's closure to that seed.
     """
 
-    check: str
-    spec: dict
-    fills: bool
-    dim: int
-    window_dim: int
-    window: dict
-    seed_dims: dict[str, int]
-    witness: str | None = None
-    certificate: str | None = None
-    stats: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        check: str,
+        spec: dict,
+        fills: bool,
+        dim: int,
+        window_dim: int,
+        window: dict,
+        seed_dims: dict[str, int],
+        witness: str | None = None,
+        certificate: str | None = None,
+        stats: dict | None = None,
+    ):
+        self.check = check
+        self.spec = spec
+        self.fills = fills
+        self.dim = dim
+        self.window_dim = window_dim
+        self.window = window
+        self.seed_dims = seed_dims
+        self.witness = witness
+        self.certificate = certificate
+        self.stats = {} if stats is None else stats
 
     @property
     def verdict(self) -> str:
@@ -695,8 +712,7 @@ def _probe(spec: ModuleSpec, cfg: ProbeConfig, check: str) -> ProbeVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(_Record):
     """Outcome of ``module_axiom_check``.
 
     ``representatives`` counts the symbols that acted through their own
@@ -704,14 +720,25 @@ class AxiomReport:
     demoted), and ``applications`` the ``act_basis`` calls the sweep made.
     """
 
-    spec: dict
-    box: IndexBox
-    index_names: tuple[str, ...]
-    pairs_checked: int = 0
-    identities_checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    representatives: int = 0
-    applications: int = 0
+    def __init__(
+        self,
+        spec: dict,
+        box: IndexBox,
+        index_names: tuple[str, ...],
+        pairs_checked: int = 0,
+        identities_checked: int = 0,
+        violations: list[str] | None = None,
+        representatives: int = 0,
+        applications: int = 0,
+    ):
+        self.spec = spec
+        self.box = box
+        self.index_names = index_names
+        self.pairs_checked = pairs_checked
+        self.identities_checked = identities_checked
+        self.violations = [] if violations is None else violations
+        self.representatives = representatives
+        self.applications = applications
 
     @property
     def ok(self) -> bool:
@@ -801,10 +828,10 @@ def module_axiom_check(
       own, acting through ``act_basis``.  A broken ``act_basis`` on one
       symbol is thus still applied directly.
     * Linearity.  The argument needs ``act_basis`` linear in f, as a module
-      action is.  When a class demotes a member, its symbols acting through
-      their own operators are applied to 0; if one gives a nonzero image,
-      every box symbol acts through its own operator, and the residuals
-      compare every nested action, as a direct sweep does.
+      action is.  Every representative, including the demoted members, is
+      applied to 0; if one gives a nonzero image, every box symbol acts
+      through its own operator, and the residuals compare every nested
+      action, as a direct sweep does.
     * Bilinearity.  The rank-one kernel is linear in its entry, so with
       x = sum_g w_(x,g) g and y = sum_h w_(y,h) h,
       x.(y.f) - y.(x.f) = sum w_(x,g) w_(y,h) K(g, h, f), where
@@ -844,9 +871,7 @@ def module_axiom_check(
         comb[s] = [(len(reps), (1, 0, 1))]
         reps.append(s)
 
-    linear = True
     for cls_reps, members in spec.operator_classes(syms):
-        first = len(reps)
         for g in cls_reps:
             own(g)
             image(g)
@@ -857,11 +882,9 @@ def module_axiom_check(
                 own(x)
             else:
                 comb[x] = w
-        if linear and len(reps) > first + len(cls_reps):  # demoted members: does 0 go to 0?
-            zero = vectors[0].scale(0)
-            linear = not any([act(s, zero) for s in reps[first:]])
-            report.applications += len(reps) - first
-    if not linear:  # no symbol acts through a combination
+    zero = vectors[0].scale(0)
+    report.applications += len(reps)
+    if any([act(s, zero) for s in reps]):  # not linear: no symbol acts through a combination
         reps.clear()
         for s in syms:
             own(s)
@@ -924,14 +947,22 @@ def _axiom_violation(spec, x, y, k, vectors, pairs, images, report) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InvarianceReport:
-    spec: dict
-    box: IndexBox
-    index_names: tuple[str, ...]
-    invariant: bool
-    checked: int
-    witness: str | None = None
+class InvarianceReport(_Record):
+    def __init__(
+        self,
+        spec: dict,
+        box: IndexBox,
+        index_names: tuple[str, ...],
+        invariant: bool,
+        checked: int,
+        witness: str | None = None,
+    ):
+        self.spec = spec
+        self.box = box
+        self.index_names = index_names
+        self.invariant = invariant
+        self.checked = checked
+        self.witness = witness
 
     @property
     def ok(self) -> bool:
@@ -989,8 +1020,7 @@ def _escape_witness(g: BasisSymbol, f: Polynomial, image: Polynomial) -> str:
     return f"{g} . ({f}) = {image} has constant term {image.constant_term}"
 
 
-@dataclass
-class CompositionReport:
+class CompositionReport(_Record):
     """Three exact facts about the alpha = 0 loop module on a window:
 
     (a) the zero-constant-term subspace is invariant;
@@ -999,14 +1029,25 @@ class CompositionReport:
     (c) stripping t intertwines the subspace with the alpha = 1 module.
     """
 
-    lam: GaussianRational
-    mu: GaussianRational
-    box: IndexBox
-    max_degree: int
-    invariance_ok: bool
-    trivial_quotient_ok: bool
-    intertwiner_ok: bool
-    detail: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        lam: GaussianRational,
+        mu: GaussianRational,
+        box: IndexBox,
+        max_degree: int,
+        invariance_ok: bool,
+        trivial_quotient_ok: bool,
+        intertwiner_ok: bool,
+        detail: list[str] | None = None,
+    ):
+        self.lam = lam
+        self.mu = mu
+        self.box = box
+        self.max_degree = max_degree
+        self.invariance_ok = invariance_ok
+        self.trivial_quotient_ok = trivial_quotient_ok
+        self.intertwiner_ok = intertwiner_ok
+        self.detail = [] if detail is None else detail
 
     @property
     def ok(self) -> bool:
@@ -1089,14 +1130,22 @@ def composition_series_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClassifyResult:
-    isomorphic: bool
-    params: dict[str, GaussianRational] | None = None
-    differing: str | None = None
-    reason: str | None = None
-    derivation_a: Derivation | None = None
-    derivation_b: Derivation | None = None
+class ClassifyResult(_Record):
+    def __init__(
+        self,
+        isomorphic: bool,
+        params: dict[str, GaussianRational] | None = None,
+        differing: str | None = None,
+        reason: str | None = None,
+        derivation_a: Derivation | None = None,
+        derivation_b: Derivation | None = None,
+    ):
+        self.isomorphic = isomorphic
+        self.params = params
+        self.differing = differing
+        self.reason = reason
+        self.derivation_a = derivation_a
+        self.derivation_b = derivation_b
 
     def as_dict(self) -> dict:
         return {
@@ -1148,12 +1197,18 @@ def isomorphism_classify(table_a: ActionTable, table_b: ActionTable) -> Classify
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CenterReport:
-    algebra: Algebra
-    box: IndexBox
-    declared: list[tuple[str, bool, str | None]] = field(default_factory=list)
-    extra_commuting: list[str] = field(default_factory=list)
+class CenterReport(_Record):
+    def __init__(
+        self,
+        algebra: Algebra,
+        box: IndexBox,
+        declared: list[tuple[str, bool, str | None]] | None = None,
+        extra_commuting: list[str] | None = None,
+    ):
+        self.algebra = algebra
+        self.box = box
+        self.declared = [] if declared is None else declared
+        self.extra_commuting = [] if extra_commuting is None else extra_commuting
 
     @property
     def ok(self) -> bool:

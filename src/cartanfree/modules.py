@@ -32,7 +32,6 @@ bracket constraint the box supports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebras import (
@@ -44,6 +43,7 @@ from .algebras import (
     L,
     LOOP,
     VIRASORO,
+    _Record,
     _sym_sort_key,
     algebra_from_name,
     parse_element,
@@ -450,17 +450,15 @@ class TensorOmega(ModuleSpec):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ActionTable:
+class ActionTable(_Record):
     """Images of the free generator 1 under each basis symbol in a box."""
 
-    algebra: Algebra
-    box: IndexBox
-    entries: dict[BasisSymbol, Polynomial] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, algebra: Algebra, box: IndexBox, entries: dict[BasisSymbol, Polynomial] | None = None):
+        self.algebra = algebra
+        self.box = box
+        self.entries = {} if entries is None else entries
         for sym in self.entries:
-            self.algebra.validate_symbol(sym)
+            algebra.validate_symbol(sym)
 
     def to_json(self) -> str:
         body = {
@@ -532,15 +530,22 @@ def build_action_table(spec: ModuleSpec, box: IndexBox) -> ActionTable:
     return ActionTable(spec.algebra, box, entries)
 
 
-@dataclass
-class MatchResult:
+class MatchResult(_Record):
     """Outcome of ``match_template``; ``entries_checked`` counts the entries compared."""
 
-    matched: bool
-    first_mismatch: BasisSymbol | None = None
-    expected: Polynomial | None = None
-    found: Polynomial | None = None
-    entries_checked: int = 0
+    def __init__(
+        self,
+        matched: bool,
+        first_mismatch: BasisSymbol | None = None,
+        expected: Polynomial | None = None,
+        found: Polynomial | None = None,
+        entries_checked: int = 0,
+    ):
+        self.matched = matched
+        self.first_mismatch = first_mismatch
+        self.expected = expected
+        self.found = found
+        self.entries_checked = entries_checked
 
     def __bool__(self) -> bool:
         return self.matched
@@ -561,8 +566,7 @@ def match_template(table: ActionTable, spec: ModuleSpec) -> MatchResult:
     return MatchResult(True, entries_checked=len(table.entries))
 
 
-@dataclass
-class Derivation:
+class Derivation(_Record):
     """Outcome of replaying the classification argument on a finite table.
 
     ``params`` is filled iff the table is consistent with the family on the
@@ -571,12 +575,21 @@ class Derivation:
     certify the box it covers.
     """
 
-    family: str
-    box: IndexBox
-    params: dict[str, GaussianRational] | None = None
-    violation: str | None = None
-    entries_checked: int = 0
-    bracket_constraints_checked: int = 0
+    def __init__(
+        self,
+        family: str,
+        box: IndexBox,
+        params: dict[str, GaussianRational] | None = None,
+        violation: str | None = None,
+        entries_checked: int = 0,
+        bracket_constraints_checked: int = 0,
+    ):
+        self.family = family
+        self.box = box
+        self.params = params
+        self.violation = violation
+        self.entries_checked = entries_checked
+        self.bracket_constraints_checked = bracket_constraints_checked
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,7 @@ representatives per class, and on broken specs: a broken entry (on a class
 member, on a representative, in one tensor factor) and a broken but linear
 `act_basis` on one symbol, which the audit must demote to a representative
 of its own.  A non-linear `act_basis` is outside the bilinearity argument:
-once a demoting class maps 0 to a nonzero vector, every symbol acts on its
+once a representative maps 0 to a nonzero vector, every symbol acts on its
 own, and the sweep must list every violation the direct sweep lists.
 """
 
@@ -260,13 +260,30 @@ def test_non_linear_act_basis_reports_only_direct_messages(sym):
 
 @pytest.mark.parametrize("sym,count", [(L(1, 1), 144), (L(1, -2), 136), (C(0), 136)], ids=str)
 def test_non_linear_act_basis_lists_every_direct_violation(sym, count):
-    # x . 0 = 1 != 0: the demoting class fails the zero check, every box
+    # x . 0 = 1 != 0: a representative fails the zero check, every box
     # symbol then acts through its own operator, and the residuals compare
     # every nested action, in the direct sweep's order
     spec = loop_with_act_basis(sym, lambda image, f: image + P_ONE)
     report = assert_same_as_direct(spec, BOX2_LOOP, TEST_POLYS)
     assert len(report.violations) == count
     assert report.representatives == len(spec.algebra.symbols_in_box(BOX2_LOOP))
+
+
+@pytest.mark.parametrize(
+    "base,args,sym,box,count",
+    [(OmegaVir, (2, 1), L(1), BOX2_VIR, 24), (OmegaBlock, (2, 3, 1), L(1, 0), BOX2_BLOCK, 64)],
+    ids=["virasoro", "block"],
+)
+def test_non_linear_act_basis_alone_in_its_class(base, args, sym, box, count):
+    # sym is the only symbol of its operator class, so no audit demotes a
+    # member; the zero check on every representative still finds x . 0 = 1
+    class Broken(base):
+        def act_basis(self, s, f):
+            image = base.act_basis(self, s, f)
+            return image + P_ONE if s == sym else image
+
+    report = assert_same_as_direct(Broken(*args), box, TEST_POLYS)
+    assert len(report.violations) == count
 
 
 def test_non_linear_tensor_act_basis_lists_every_direct_violation():
@@ -306,10 +323,11 @@ def test_act_basis_calls_are_pinned():
 
     report = module_axiom_check(Counted(2, 3, 1), BOX2_LOOP, TEST_POLYS)
     assert report.ok
-    # 72 symbols (box and reached brackets) x 4 vectors, and 2 x 10 representative pairs x 4
-    assert len(calls) == report.applications == 368
+    # 72 symbols (box and reached brackets) x 4 vectors, 2 x 10 representative
+    # pairs x 4, and the 5 representatives applied to 0
+    assert len(calls) == report.applications == 373
     assert report.representatives == 5
-    assert report.as_dict()["applications"] == 368
+    assert report.as_dict()["applications"] == 373
     assert report.as_dict()["representatives"] == 5
 
 

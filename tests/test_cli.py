@@ -133,8 +133,8 @@ class TestChecks:
         )
         assert code == 0
         body = json.loads(out)
-        # one representative per first index; 72 symbols x 4 vectors + 2 x 10 pairs x 4
-        assert (body["representatives"], body["applications"]) == (5, 368)
+        # one representative per first index; 72 symbols x 4 vectors + 2 x 10 pairs x 4 + 5 zero checks
+        assert (body["representatives"], body["applications"]) == (5, 373)
 
     def test_center_with_embedding(self, capsys):
         code, out, _ = run(
